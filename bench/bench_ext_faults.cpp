@@ -17,8 +17,8 @@
  *
  * Section B cuts a generated crash schedule into epochs and
  * re-places the best-effort jobs over the survivors, then repeats
- * the run with an injected LP-solver failure to show the bounded
- * LP -> Hungarian -> Greedy fallback chain (P4).
+ * the run with an injected Hungarian-solver failure to show the
+ * bounded Hungarian -> Greedy fallback chain (P4).
  */
 
 #include <cstdio>
@@ -202,17 +202,17 @@ sectionCluster(bench::Context& ctx)
                 outcome.replacements, outcome.solverAttempts,
                 outcome.timeWeightedThroughput);
 
-    // Same crash schedule, but every LP solve fails: the chain must
-    // land on Hungarian with bounded attempts in every epoch.
-    cluster::FallbackOptions broken_lp;
-    broken_lp.failInjection = [](cluster::PlacementKind kind, int) {
-        return kind == cluster::PlacementKind::Lp;
+    // Same crash schedule, but every exact solve fails: the chain
+    // must land on Greedy with bounded attempts in every epoch.
+    cluster::FallbackOptions broken_exact;
+    broken_exact.failInjection = [](cluster::PlacementKind kind, int) {
+        return kind == cluster::PlacementKind::Hungarian;
     };
     const auto degraded = evaluator.runWithServerFaults(
-        plan, cluster::ManagerKind::Pom, broken_lp);
+        plan, cluster::ManagerKind::Pom, broken_exact);
 
     int failures = 0;
-    const int per_epoch_bound = 2 * 3; // maxAttemptsPerStage x chain
+    const int per_epoch_bound = 2 * 2; // maxAttemptsPerStage x chain
     for (const auto& epoch : degraded.epochs) {
         if (epoch.placement.attempts > per_epoch_bound) {
             std::printf("P4 FAIL: epoch solver attempts %d exceed "
@@ -220,9 +220,9 @@ sectionCluster(bench::Context& ctx)
                         epoch.placement.attempts, per_epoch_bound);
             ++failures;
         }
-        if (epoch.placement.tier == poco::SolverTier::Lp) {
+        if (epoch.placement.tier == poco::SolverTier::Hungarian) {
             std::printf("P4 FAIL: an epoch still reports the broken "
-                        "LP solver\n");
+                        "Hungarian solver\n");
             ++failures;
         }
     }
@@ -231,15 +231,16 @@ sectionCluster(bench::Context& ctx)
                     "re-placement\n");
         ++failures;
     }
-    std::printf("\nwith LP broken: every epoch fell back to %s, "
-                "solver attempts %d (bound %d per epoch)\n",
+    std::printf("\nwith Hungarian broken: every epoch fell back to %s, "
+                "solver attempts %d (bound %d: %d per epoch)\n",
                 poco::solverTierName(
                     degraded.epochs.empty()
                         ? poco::SolverTier::Greedy
                         : degraded.epochs.front().placement.tier),
                 degraded.solverAttempts,
                 per_epoch_bound *
-                    static_cast<int>(degraded.epochs.size()));
+                    static_cast<int>(degraded.epochs.size()),
+                per_epoch_bound);
     std::printf("P4 (bounded fallback re-placement): %s\n",
                 failures == 0 ? "PASS" : "FAIL");
     return failures;

@@ -4,7 +4,7 @@
  *
  * Pocolo's placement is only as good as its fitted preference
  * vectors. This study perturbs every fitted coefficient by a random
- * relative error and measures: how often the LP assignment changes,
+ * relative error and measures: how often the assignment changes,
  * and how much *realized* throughput the perturbed decisions lose —
  * i.e. how much model accuracy the placement actually needs.
  */
@@ -109,7 +109,7 @@ main()
     // Second study: solver faults instead of model faults. Each row
     // derives a deterministic failure schedule from a FaultPlan
     // fingerprint (so re-runs are seed-stable bit for bit) and walks
-    // the LP -> Hungarian -> Greedy fallback chain with it: attempt
+    // the Hungarian -> Greedy fallback chain with it: attempt
     // k of solver s fails when bit (s*8 + k) of the fingerprint is
     // set. The placement must survive every schedule — at worst on
     // the conservative identity assignment — and lose no throughput

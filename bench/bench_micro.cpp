@@ -8,12 +8,12 @@
  * and BM_ClosedFormDemand verify our implementation meets that
  * budget with wide margin.
  *
- * The default run executes the gate: each vectorized kernel
- * (matrix-build, pricing, elimination, incremental-resolve) is timed
- * against its scalar predecessor and checked bit-identical; results
- * land in BENCH_micro.json (argv[1] overrides the path) and any
- * divergence — or a matrix-build speedup below 1.5x at >= 64 cells —
- * exits 1. Pass --benchmarks to also run the google-benchmark suite.
+ * The default run executes the gate: the batched matrix build is
+ * timed against its scalar predecessor and checked bit-identical
+ * (serial and pooled); the result lands in BENCH_micro.json (argv[1]
+ * overrides the path) and any divergence — or a speedup below 1.5x
+ * at >= 64 cells — exits 1. Pass --benchmarks to also run the
+ * google-benchmark suite.
  */
 
 #include <benchmark/benchmark.h>
@@ -24,9 +24,7 @@
 #include <cstring>
 #include <string>
 
-#include "cluster/incremental.hpp"
 #include "cluster/performance_matrix.hpp"
-#include "cluster/placement.hpp"
 #include "common.hpp"
 #include "math/hungarian.hpp"
 #include "math/regression.hpp"
@@ -415,59 +413,6 @@ BM_SolverCacheMiss(benchmark::State& state)
 }
 BENCHMARK(BM_SolverCacheMiss)->Arg(16)->Arg(64);
 
-/**
- * The control plane's hot path: one server column re-priced, then a
- * re-place. The incremental variant runs the Cached/Repair/WarmLp
- * ladder; the cold variant is the batch placeWithFallback the ladder
- * replaces. Same perturbation stream in both, so the gap is solver
- * work, not setup.
- */
-void
-BM_IncrementalResolve(benchmark::State& state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    Rng rng(47);
-    cluster::PerformanceMatrix matrix;
-    matrix.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            matrix(i, j) = rng.uniform(0.0, 100.0);
-    cluster::IncrementalPlacer placer;
-    // Warm-up solve; the outcome itself is intentionally unused.
-    (void)placer.resolve(matrix, cluster::PlacementDelta::shape());
-    std::size_t col = 0;
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < n; ++i)
-            matrix(i, col) = rng.uniform(0.0, 100.0);
-        auto placed =
-            placer.resolve(matrix, cluster::PlacementDelta::column(col));
-        benchmark::DoNotOptimize(placed);
-        col = (col + 1) % n;
-    }
-}
-BENCHMARK(BM_IncrementalResolve)->Arg(16)->Arg(64);
-
-void
-BM_ColdResolve(benchmark::State& state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    Rng rng(47);
-    cluster::PerformanceMatrix matrix;
-    matrix.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            matrix(i, j) = rng.uniform(0.0, 100.0);
-    std::size_t col = 0;
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < n; ++i)
-            matrix(i, col) = rng.uniform(0.0, 100.0);
-        auto placed = cluster::placeWithFallback(matrix);
-        benchmark::DoNotOptimize(placed);
-        col = (col + 1) % n;
-    }
-}
-BENCHMARK(BM_ColdResolve)->Arg(16)->Arg(64);
-
 void
 BM_OlsFit(benchmark::State& state)
 {
@@ -601,9 +546,9 @@ BM_EventQueueChurn(benchmark::State& state)
 BENCHMARK(BM_EventQueueChurn);
 
 // ---------------------------------------------------------------
-// The SoA/vectorization gate: before/after columns per kernel, each
-// "after" checked bit-identical to its scalar predecessor (and, where
-// a pooled path exists, across thread counts).
+// The SoA gate: the batched matrix build against its scalar
+// predecessor, checked bit-identical serially and across thread
+// counts.
 // ---------------------------------------------------------------
 
 /** Wall-clock seconds of one invocation. */
@@ -694,259 +639,49 @@ gateMatrixBuild(runtime::ThreadPool& pool)
     return row;
 }
 
-/**
- * Dantzig pricing on the n=64 assignment-shaped reduced-cost row:
- * the pre-vectorization scalar scan vs the vectorized row sweep,
- * serial and on a 4-worker pool (all three must agree).
- */
-GateRow
-gatePricing(runtime::ThreadPool& pool)
-{
-    constexpr std::size_t n = 64;
-    const math::SimplexTableau t = pricingTableau(n);
-    const std::size_t m = tableauRows(n);
-    const std::size_t ncols = tableauCols(n);
-
-    // The scalar predecessor: one branchy compare per column.
-    const auto scalarScan = [&]() -> std::size_t {
-        std::size_t best = ncols;
-        double best_d = 1e-9;
-        for (std::size_t j = 0; j < ncols; ++j) {
-            const double d = t.at(m, j);
-            if (d > best_d) {
-                best_d = d;
-                best = j;
-            }
-        }
-        return best;
-    };
-
-    math::LpOptions pooled_options;
-    pooled_options.pool = &pool;
-    pooled_options.pricingGrain = 512;
-
-    constexpr int kIters = 4000;
-    GateRow row;
-    row.kernel = "pricing";
-    row.size = ncols;
-    std::size_t before_j = 0;
-    std::size_t after_j = 0;
-    std::size_t pooled_j = 0;
-    row.beforeSeconds = bestOf(3, [&] {
-        for (int i = 0; i < kIters; ++i)
-            before_j = scalarScan();
-    });
-    row.afterSeconds = bestOf(3, [&] {
-        for (int i = 0; i < kIters; ++i)
-            after_j = t.priceDantzig();
-    });
-    pooled_j = t.priceDantzig(pooled_options);
-    row.identical = before_j == after_j && after_j == pooled_j;
-    return row;
-}
-
-/**
- * Pivot row-elimination at n=64: the nested vector<vector> baseline
- * vs the flat unrolled tableau. Identity is checked between the flat
- * serial and flat 4-worker pivots (full tableau + rhs, bitwise) and
- * against the nested baseline's constraint rows.
- */
-GateRow
-gateElimination(runtime::ThreadPool& pool)
-{
-    constexpr std::size_t n = 64;
-    const std::size_t m = tableauRows(n);
-    const std::size_t ncols = tableauCols(n);
-
-    NestedTableau nested_pristine;
-    nested_pristine.m = m;
-    nested_pristine.ncols = ncols;
-    nested_pristine.rows.assign(m, std::vector<double>(ncols));
-    nested_pristine.rhs.assign(m, 1.0);
-    nested_pristine.obj.resize(ncols);
-    nested_pristine.basis.resize(m);
-    for (std::size_t r = 0; r < m; ++r)
-        for (std::size_t c = 0; c < ncols; ++c)
-            nested_pristine.rows[r][c] = tableauFill(r, c);
-    for (std::size_t c = 0; c < ncols; ++c)
-        nested_pristine.obj[c] = tableauFill(m, c);
-    for (std::size_t r = 0; r < m; ++r)
-        nested_pristine.basis[r] = ncols - m + r;
-
-    math::SimplexTableau flat_pristine(m, ncols);
-    for (std::size_t r = 0; r <= m; ++r) {
-        for (std::size_t c = 0; c < ncols; ++c)
-            flat_pristine.at(r, c) = tableauFill(r, c);
-        flat_pristine.rhs(r) = 1.0;
-    }
-
-    const auto pivotSequence = [&](auto& tableau, auto&& fix,
-                                   auto&& run) {
-        for (std::size_t k = 0; k < 4; ++k) {
-            const std::size_t col = k * (ncols / m);
-            fix(tableau, k, col);
-            run(tableau, k, col);
-        }
-    };
-    const auto fixNested = [](NestedTableau& t, std::size_t k,
-                              std::size_t col) {
-        if (std::abs(t.rows[k][col]) < 0.5)
-            t.rows[k][col] = 1.5;
-    };
-    const auto fixFlat = [](math::SimplexTableau& t, std::size_t k,
-                            std::size_t col) {
-        if (std::abs(t.at(k, col)) < 0.5)
-            t.at(k, col) = 1.5;
-    };
-
-    GateRow row;
-    row.kernel = "elimination";
-    row.size = m * ncols;
-
-    NestedTableau nested = nested_pristine;
-    row.beforeSeconds = bestOf(3, [&] {
-        nested = nested_pristine;
-        pivotSequence(nested, fixNested,
-                      [](NestedTableau& t, std::size_t k,
-                         std::size_t col) { t.pivot(k, col); });
-    });
-
-    math::SimplexTableau flat = flat_pristine;
-    row.afterSeconds = bestOf(3, [&] {
-        flat = flat_pristine;
-        pivotSequence(flat, fixFlat,
-                      [](math::SimplexTableau& t, std::size_t k,
-                         std::size_t col) { t.pivot(k, col); });
-    });
-
-    math::LpOptions pooled_options;
-    pooled_options.pool = &pool;
-    pooled_options.pivotCutoff = 1;
-    math::SimplexTableau flat_pooled = flat_pristine;
-    pivotSequence(flat_pooled, fixFlat,
-                  [&pooled_options](math::SimplexTableau& t,
-                                    std::size_t k, std::size_t col) {
-                      t.pivot(k, col, pooled_options);
-                  });
-
-    row.identical = true;
-    for (std::size_t r = 0; r <= m && row.identical; ++r) {
-        for (std::size_t c = 0; c < ncols; ++c)
-            if (flat.at(r, c) != flat_pooled.at(r, c))
-                row.identical = false;
-        if (flat.rhs(r) != flat_pooled.rhs(r))
-            row.identical = false;
-    }
-    // The nested baseline pivots the same values through the same
-    // elementwise arithmetic; its constraint rows must agree too.
-    for (std::size_t r = 0; r < m && row.identical; ++r) {
-        for (std::size_t c = 0; c < ncols; ++c)
-            if (nested.rows[r][c] != flat.at(r, c))
-                row.identical = false;
-        if (nested.rhs[r] != flat.rhs(r))
-            row.identical = false;
-    }
-    return row;
-}
-
-/**
- * Per-event re-place at n=64: the incremental ladder vs the cold
- * batch path it replaces, same perturbation stream, assignments
- * checked equal every round.
- */
-GateRow
-gateIncrementalResolve()
-{
-    constexpr std::size_t n = 64;
-    Rng rng(48);
-    cluster::PerformanceMatrix matrix;
-    matrix.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            matrix(i, j) = rng.uniform(0.0, 100.0);
-
-    cluster::IncrementalPlacer placer;
-    // Warm-up solve; the outcome itself is intentionally unused.
-    (void)placer.resolve(matrix, cluster::PlacementDelta::shape());
-
-    GateRow row;
-    row.kernel = "incremental-resolve";
-    row.size = n;
-    constexpr int kRounds = 8;
-    for (int round = 0; round < kRounds; ++round) {
-        const auto col = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<int>(n) - 1));
-        for (std::size_t i = 0; i < n; ++i)
-            matrix(i, col) = rng.uniform(0.0, 100.0);
-
-        Outcome<std::vector<int>> inc;
-        row.afterSeconds += timedSeconds([&] {
-            inc = placer.resolve(matrix,
-                                 cluster::PlacementDelta::column(col));
-        });
-        Outcome<std::vector<int>> cold;
-        row.beforeSeconds += timedSeconds(
-            [&] { cold = cluster::placeWithFallback(matrix); });
-        if (inc.value != cold.value)
-            row.identical = false;
-    }
-    return row;
-}
-
 int
 runGate(const std::string& out_path)
 {
     bench::banner(
         "micro: SoA gate",
-        "vectorized kernels vs their scalar predecessors",
-        "each kernel bit-identical to its scalar predecessor for any "
-        "thread count; batched matrix build >= 1.5x at >= 64 cells");
+        "batched matrix build vs its scalar predecessor",
+        "bit-identical to the scalar build for any thread count and "
+        ">= 1.5x faster at >= 64 cells");
 
     constexpr double kMinMatrixSpeedup = 1.5;
     runtime::ThreadPool pool(4);
+    const GateRow row = gateMatrixBuild(pool);
 
-    std::vector<GateRow> rows;
-    rows.push_back(gateMatrixBuild(pool));
-    rows.push_back(gatePricing(pool));
-    rows.push_back(gateElimination(pool));
-    rows.push_back(gateIncrementalResolve());
-
-    bool pass = true;
+    const double speedup = row.afterSeconds > 0.0
+                               ? row.beforeSeconds / row.afterSeconds
+                               : 0.0;
+    bool pass = row.identical;
+    if (!row.identical)
+        std::printf("  divergence: %s is not bit-identical to its "
+                    "scalar predecessor\n",
+                    row.kernel.c_str());
+    if (row.size >= 64 && speedup < kMinMatrixSpeedup) {
+        pass = false;
+        std::printf("  gate miss: matrix-build speedup %.2f < %.1f at "
+                    "%zu cells\n",
+                    speedup, kMinMatrixSpeedup, row.size);
+    }
     TextTable table({"kernel", "size", "before s", "after s",
                      "speedup", "identical"});
-    bench::Json kernels = bench::Json::array();
-    for (const GateRow& row : rows) {
-        const double speedup = row.afterSeconds > 0.0
-                                   ? row.beforeSeconds /
-                                         row.afterSeconds
-                                   : 0.0;
-        pass = pass && row.identical;
-        if (!row.identical)
-            std::printf("  divergence: %s is not bit-identical to "
-                        "its scalar predecessor\n",
-                        row.kernel.c_str());
-        if (row.kernel == "matrix-build" && row.size >= 64 &&
-            speedup < kMinMatrixSpeedup) {
-            pass = false;
-            std::printf("  gate miss: matrix-build speedup %.2f < "
-                        "%.1f at %zu cells\n",
-                        speedup, kMinMatrixSpeedup, row.size);
-        }
-        table.addRow({row.kernel, std::to_string(row.size),
-                      fmt(row.beforeSeconds, 5),
-                      fmt(row.afterSeconds, 5), fmt(speedup, 1),
-                      row.identical ? "yes" : "NO"});
-        kernels.push(
-            bench::Json::object()
-                .str("kernel", row.kernel)
-                .integer("size", static_cast<std::int64_t>(row.size))
-                .num("before_seconds", row.beforeSeconds)
-                .num("after_seconds", row.afterSeconds)
-                .num("speedup", speedup)
-                .flag("identical", row.identical));
-    }
+    table.addRow({row.kernel, std::to_string(row.size),
+                  fmt(row.beforeSeconds, 5), fmt(row.afterSeconds, 5),
+                  fmt(speedup, 1), row.identical ? "yes" : "NO"});
     std::printf("%s", table.render().c_str());
 
+    bench::Json kernels = bench::Json::array();
+    kernels.push(
+        bench::Json::object()
+            .str("kernel", row.kernel)
+            .integer("size", static_cast<std::int64_t>(row.size))
+            .num("before_seconds", row.beforeSeconds)
+            .num("after_seconds", row.afterSeconds)
+            .num("speedup", speedup)
+            .flag("identical", row.identical));
     bench::Json root = bench::Json::object();
     root.str("bench", "micro")
         .num("gate_min_matrix_speedup", kMinMatrixSpeedup)
@@ -955,12 +690,13 @@ runGate(const std::string& out_path)
     bench::writeJson(root, out_path);
 
     if (!pass) {
-        std::printf("\nFAIL: a vectorized kernel diverged from its "
-                    "scalar predecessor or missed the speedup gate\n");
+        std::printf("\nFAIL: the batched matrix build diverged from "
+                    "its scalar predecessor or missed the speedup "
+                    "gate\n");
         return 1;
     }
-    std::printf("\nall kernels bit-identical; matrix build >= %.1fx "
-                "over the scalar reference\n",
+    std::printf("\nmatrix build bit-identical and >= %.1fx over the "
+                "scalar reference\n",
                 kMinMatrixSpeedup);
     return 0;
 }

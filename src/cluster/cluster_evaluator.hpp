@@ -173,7 +173,7 @@ class ClusterEvaluator
      * @p up (full-cluster indices, strictly increasing): gates on
      * modelsHealthy(), drops the lowest-value BEs when they
      * outnumber survivors, and solves the surviving sub-matrix via
-     * the LP -> Hungarian -> Greedy fallback chain. The returned
+     * the Hungarian -> Greedy fallback chain. The returned
      * outcome's value uses full-cluster indices with -1 for parked
      * BEs; its degradation flags record untrusted models
      * (modelsUntrusted + conservative) and dropped BEs (workShed).

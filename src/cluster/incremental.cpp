@@ -13,14 +13,6 @@ namespace
  *  solvers' per-kind tags so a rung never reads another's answer). */
 constexpr const char* kCacheTag = "incremental";
 
-void
-validateMatrix(const PerformanceMatrix& matrix)
-{
-    POCO_REQUIRE(matrix.rows() > 0, "empty performance matrix");
-    POCO_REQUIRE(matrix.rows() <= matrix.cols(),
-                 "placement needs BE apps <= LC servers");
-}
-
 } // namespace
 
 const char*
@@ -53,14 +45,13 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
 
     // Rung 0 — memo. Flapping event pairs (crash/recover, A<->B load
     // oscillation) revisit byte-identical matrices; the exact-match
-    // cache answers without touching a solver. The hit leaves both
-    // engines pointing at some *other* matrix, so mark them stale.
+    // cache answers without touching a solver. The hit leaves the
+    // engine pointing at some *other* matrix, so mark it stale.
     if (context_.cache != nullptr) {
         if (auto hit = context_.cache->lookup(kCacheTag,
                                               matrix.view())) {
             ++stats_.cached;
             repair_fresh_ = false;
-            warm_fresh_ = false;
             return {*std::move(hit), SolverTier::Cached,
                     /*tries=*/0};
         }
@@ -83,42 +74,12 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
         }
         if (fixed.has_value()) {
             ++stats_.repaired;
-            warm_fresh_ = false;
             if (context_.cache != nullptr)
                 context_.cache->insert(kCacheTag, matrix.view(),
                                        *fixed);
             return {*std::move(fixed), SolverTier::Repair};
         }
-        repair_fresh_ = false; // engine invalidated itself
-    }
-
-    // Rung 2 — warm-started simplex: any same-shape perturbation can
-    // re-price the retained optimal basis and walk the few pivots to
-    // the new vertex.
-    if (delta.kind != PlacementDelta::Kind::Shape && warm_fresh_ &&
-        warm_.hasBasis(rows, cols)) {
-        if (auto sol = warm_.solveWarm(matrix.view())) {
-            ++stats_.warm;
-            repair_fresh_ = false;
-            if (context_.cache != nullptr)
-                context_.cache->insert(kCacheTag, matrix.view(),
-                                       *sol);
-            return {*std::move(sol), SolverTier::WarmLp};
-        }
-        warm_fresh_ = false;
-    }
-
-    // Rung 3 — single-subject event with no fresh engine: re-arm the
-    // repair engine with a full Hungarian solve so the next
-    // one-subject event takes the cheap stage.
-    if (single_subject) {
-        std::vector<int> full = repair_.solveFull(matrix.view());
-        ++stats_.resynced;
-        repair_fresh_ = true;
-        warm_fresh_ = false;
-        if (context_.cache != nullptr)
-            context_.cache->insert(kCacheTag, matrix.view(), full);
-        return {std::move(full), SolverTier::Hungarian};
+        // The engine invalidated itself; the cold rung re-arms it.
     }
 
     return coldResolve(matrix);
@@ -127,25 +88,26 @@ IncrementalPlacer::resolve(const PerformanceMatrix& matrix,
 Outcome<std::vector<int>>
 IncrementalPlacer::coldResolve(const PerformanceMatrix& matrix)
 {
-    // Honor the fallback chain's injection hook for the cold LP rung
-    // so the degradation tests can force the escape path through this
+    // Rung 2 — cold Kuhn-Munkres solve: the same engine (and so the
+    // same optimum) as placeWithFallback's first stage, and it leaves
+    // the duals behind so the next one-subject event can repair.
+    // Honors the chain's injection hook for that first attempt so
+    // the degradation tests can force the escape path through this
     // placer too.
-    const bool injected_lp_failure =
+    const bool injected_failure =
         fallback_.failInjection &&
-        fallback_.failInjection(PlacementKind::Lp, 0);
-    if (!injected_lp_failure) {
+        fallback_.failInjection(PlacementKind::Hungarian, 0);
+    if (!injected_failure) {
         try {
-            std::vector<int> sol = warm_.solveCold(matrix.view());
+            std::vector<int> sol = repair_.solveFull(matrix.view());
             ++stats_.cold;
-            warm_fresh_ = true;
-            repair_fresh_ = false;
+            repair_fresh_ = true;
             if (context_.cache != nullptr)
                 context_.cache->insert(kCacheTag, matrix.view(),
                                        sol);
-            return {std::move(sol), SolverTier::Lp};
+            return {std::move(sol), SolverTier::Hungarian};
         } catch (const FatalError&) {
-            warm_.invalidate();
-            warm_fresh_ = false;
+            repair_.invalidate();
         }
     }
 
@@ -155,12 +117,10 @@ IncrementalPlacer::coldResolve(const PerformanceMatrix& matrix)
     ++stats_.fallback;
     Outcome<std::vector<int>> outcome =
         placeWithFallback(matrix, context_, fallback_);
-    ++outcome.attempts; // the cold LP try above
+    ++outcome.attempts; // the cold try above
     repair_fresh_ = false;
-    warm_fresh_ = false;
     if (context_.cache != nullptr &&
-        (outcome.tier == SolverTier::Lp ||
-         outcome.tier == SolverTier::Hungarian))
+        outcome.tier == SolverTier::Hungarian)
         context_.cache->insert(kCacheTag, matrix.view(),
                                outcome.value);
     return outcome;
@@ -171,10 +131,9 @@ IncrementalPlacer::shed(const PerformanceMatrix& matrix)
 {
     validateMatrix(matrix);
     ++stats_.shed;
-    // The engines saw neither this matrix nor this answer; anything
-    // they retain describes a state the stream has moved past.
+    // The engine saw neither this matrix nor this answer; anything
+    // it retains describes a state the stream has moved past.
     repair_fresh_ = false;
-    warm_fresh_ = false;
     std::vector<int> identity(matrix.rows());
     for (std::size_t i = 0; i < identity.size(); ++i)
         identity[i] = static_cast<int>(i);
@@ -188,9 +147,7 @@ void
 IncrementalPlacer::reset()
 {
     repair_.invalidate();
-    warm_.invalidate();
     repair_fresh_ = false;
-    warm_fresh_ = false;
 }
 
 } // namespace poco::cluster

@@ -5,22 +5,22 @@
  * The batch path (place / placeWithFallback) solves every matrix from
  * scratch. Under an event stream most solves are tiny perturbations
  * of the previous one — a LoadShift re-prices one server's column, a
- * profile refresh one BE's row, a budget change rescales the whole
- * matrix but keeps its shape. IncrementalPlacer keeps the previous
- * optimum alive in three engines and picks the cheapest that applies:
+ * profile refresh one BE's row. IncrementalPlacer keeps the previous
+ * optimum alive in one Kuhn-Munkres engine (math::HungarianRepair)
+ * and picks the cheapest rung that applies:
  *
- *   Cached   exact memo hit (flapping A<->B states) — no solve at all
- *   Repair   one Hungarian augmenting stage from the retained duals
- *   WarmLp   simplex re-priced over the retained optimal basis
- *   Lp       cold two-phase solve (also re-arms the warm basis)
- *   ...      placeWithFallback's Hungarian/Greedy/Conservative chain
+ *   Cached     exact memo hit (flapping A<->B states) — no solve at all
+ *   Repair     one augmenting stage from the retained duals
+ *   Hungarian  cold HungarianRepair::solveFull (also re-arms Repair)
+ *   ...        placeWithFallback's Hungarian/Greedy/Conservative chain
  *
  * Every rung is exact: Repair self-verifies the LP optimality
- * conditions and WarmLp the integrality of its vertex, and both fall
- * through on failure, so the ladder returns the same optimum a cold
- * solve would (field-exact whenever the optimum is unique). The tier
- * on the returned Outcome records which rung fired; tiers Cached /
- * Repair / WarmLp sit *above* Lp in the ladder because they are
+ * conditions and falls through on failure, and the cold rung is the
+ * very solve placeWithFallback runs first, so the ladder returns the
+ * same optimum a cold solve would (the same vector whenever Repair
+ * does not fire; field-exact whenever the optimum is unique). The
+ * tier on the returned Outcome records which rung fired; Cached and
+ * Repair sit *above* Hungarian in the ladder because they are
  * cheaper, not worse.
  */
 
@@ -31,7 +31,6 @@
 
 #include "cluster/placement.hpp"
 #include "math/hungarian_repair.hpp"
-#include "math/simplex.hpp"
 
 namespace poco::cluster
 {
@@ -84,9 +83,7 @@ struct IncrementalStats
 {
     std::uint64_t cached = 0;   ///< memo hits
     std::uint64_t repaired = 0; ///< Hungarian repair successes
-    std::uint64_t warm = 0;     ///< warm-start LP successes
-    std::uint64_t resynced = 0; ///< full Hungarian re-arms
-    std::uint64_t cold = 0;     ///< cold LP solves
+    std::uint64_t cold = 0;     ///< cold Hungarian solves (re-arms)
     std::uint64_t fallback = 0; ///< placeWithFallback escapes
     std::uint64_t shed = 0;     ///< backpressure sheds (no solve)
 };
@@ -100,9 +97,7 @@ class IncrementalPlacer
   public:
     explicit IncrementalPlacer(SolverContext context = {},
                                FallbackOptions fallback = {})
-        : context_(context), fallback_(fallback),
-          warm_(math::LpOptions{context.pool, context.pivotCutoff,
-                                context.pricingGrain})
+        : context_(context), fallback_(fallback)
     {}
 
     /**
@@ -120,8 +115,8 @@ class IncrementalPlacer
      * Backpressure escape: skip the whole ladder and return the
      * Conservative identity assignment (BE row i on column i —
      * always feasible under the rows <= cols precondition) without
-     * consulting or updating any engine. The matrix has still moved,
-     * so the retained repair/warm state is marked stale; the next
+     * consulting or updating the engine. The matrix has still moved,
+     * so the retained repair state is marked stale; the next
      * resolve() should pass PlacementDelta::shape() to re-sync.
      * Deterministic and O(rows) — this is what "shedding to the
      * Conservative tier" costs instead of a solve.
@@ -141,12 +136,10 @@ class IncrementalPlacer
     SolverContext context_;
     FallbackOptions fallback_;
     math::HungarianRepair repair_;
-    math::AssignmentLpSolver warm_;
-    /** An engine is fresh iff its state matches the last resolved
-     *  matrix (a cache hit or the other engine's success breaks the
-     *  correspondence without invalidating the engine itself). */
+    /** The engine is fresh iff its state matches the last resolved
+     *  matrix (a cache hit or a shed breaks the correspondence
+     *  without invalidating the engine itself). */
     bool repair_fresh_ = false;
-    bool warm_fresh_ = false;
     IncrementalStats stats_;
 };
 

@@ -12,14 +12,6 @@ namespace poco::cluster
 namespace
 {
 
-void
-validateMatrix(const PerformanceMatrix& matrix)
-{
-    POCO_REQUIRE(matrix.rows() > 0, "empty performance matrix");
-    POCO_REQUIRE(matrix.rows() <= matrix.cols(),
-                 "placement needs BE apps <= LC servers");
-}
-
 math::LpOptions
 lpOptions(const SolverContext& context)
 {
@@ -86,6 +78,14 @@ solveExact(const PerformanceMatrix& matrix, PlacementKind kind,
 }
 
 } // namespace
+
+void
+validateMatrix(const PerformanceMatrix& matrix)
+{
+    POCO_REQUIRE(matrix.rows() > 0, "empty performance matrix");
+    POCO_REQUIRE(matrix.rows() <= matrix.cols(),
+                 "placement needs BE apps <= LC servers");
+}
 
 const char*
 placementKindName(PlacementKind kind)
@@ -185,22 +185,6 @@ admitAndPlace(const PerformanceMatrix& matrix,
     return context.cache->getOrCompute("admit", matrix.view(), solve);
 }
 
-SolverTier
-placementTier(PlacementKind kind)
-{
-    switch (kind) {
-      case PlacementKind::Lp:         return SolverTier::Lp;
-      case PlacementKind::Hungarian:  return SolverTier::Hungarian;
-      // Exhaustive is an exact test oracle, as trustworthy as the
-      // Hungarian rung; Random is the experiment baseline, a
-      // heuristic like Greedy.
-      case PlacementKind::Exhaustive: return SolverTier::Hungarian;
-      case PlacementKind::Greedy:     return SolverTier::Greedy;
-      case PlacementKind::Random:     return SolverTier::Greedy;
-    }
-    return SolverTier::None;
-}
-
 Outcome<std::vector<int>>
 placeWithFallback(const PerformanceMatrix& matrix,
                   const SolverContext& context,
@@ -212,7 +196,6 @@ placeWithFallback(const PerformanceMatrix& matrix,
 
     Outcome<std::vector<int>> outcome;
     static constexpr PlacementKind kChain[] = {
-        PlacementKind::Lp,
         PlacementKind::Hungarian,
         PlacementKind::Greedy,
     };
@@ -232,10 +215,11 @@ placeWithFallback(const PerformanceMatrix& matrix,
                 SolverContext stage = context;
                 if (attempt > 0)
                     stage.cache = nullptr;
-                outcome.value = kind == PlacementKind::Greedy
-                                    ? solveGreedy(matrix)
-                                    : place(matrix, kind, stage);
-                outcome.tier = placementTier(kind);
+                const bool greedy = kind == PlacementKind::Greedy;
+                outcome.value = greedy ? solveGreedy(matrix)
+                                       : place(matrix, kind, stage);
+                outcome.tier =
+                    greedy ? SolverTier::Greedy : SolverTier::Hungarian;
                 return outcome;
             } catch (const FatalError&) {
                 // Fall through to the next attempt or solver.

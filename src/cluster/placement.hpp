@@ -3,10 +3,14 @@
  * Cluster placement policies (Section IV-B).
  *
  * Given the performance matrix, a policy picks which best-effort
- * application runs beside which latency-critical server. Pocolo uses
- * an LP solver (the assignment polytope is integral); Hungarian and
- * exhaustive search are provided as equivalent exact alternatives and
- * as test oracles; random placement is the baseline.
+ * application runs beside which latency-critical server. The paper
+ * solves it as an LP (the assignment polytope is integral);
+ * PlacementKind::Lp keeps that formulation as the paper-fidelity
+ * POColo policy. Every production path — placeWithFallback,
+ * admitAndPlace, the streaming IncrementalPlacer — runs the
+ * Hungarian engine, which reaches the same optimum; exhaustive
+ * search is the small-instance test oracle and random placement the
+ * baseline.
  *
  * The exact policies (LP, Hungarian, exhaustive) are deterministic
  * pure functions of the matrix, so they take a SolverContext instead
@@ -58,11 +62,11 @@ const char* placementKindName(PlacementKind kind);
 
 /**
  * Execution context for the exact placement solvers: where to run
- * (pool) and what to remember (memo cache), plus the LP fan-out
- * cutoffs. The defaults run serially with no memoization; results
- * never depend on the settings. The tuning knobs are owned by
- * poco::FleetConfig (cluster/fleet_config.hpp) — this struct is the
- * runtime wiring the evaluators assemble from it.
+ * (pool) and what to remember (memo cache), plus the fan-out cutoffs
+ * of the PlacementKind::Lp simplex. The defaults run serially with
+ * no memoization; results never depend on the settings. The tuning
+ * knobs are owned by poco::FleetConfig (cluster/fleet_config.hpp) —
+ * this struct is the runtime wiring the evaluators assemble from it.
  */
 struct SolverContext
 {
@@ -76,8 +80,11 @@ struct SolverContext
     std::size_t pricingGrain = 2048;
 };
 
-/** The degradation tier a given solver kind reports as. */
-SolverTier placementTier(PlacementKind kind);
+/**
+ * Placement precondition shared by every entry point: a non-empty
+ * matrix with #BE <= #servers. Throws poco::FatalError otherwise.
+ */
+void validateMatrix(const PerformanceMatrix& matrix);
 
 /**
  * Compute an assignment: result[i] = LC server index for BE app i.
@@ -134,7 +141,7 @@ struct FallbackOptions
 };
 
 /**
- * Degradation-hardened placement: walk the LP -> Hungarian -> Greedy
+ * Degradation-hardened placement: walk the Hungarian -> Greedy
  * chain, giving each solver options.maxAttemptsPerStage tries and
  * catching poco::FatalError between them. If the whole chain fails
  * the terminal fallback is the preference-free identity assignment

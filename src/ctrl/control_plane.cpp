@@ -57,7 +57,7 @@ degradationBits(const Degradation& d)
 /**
  * One record's contribution. The semantic view drops tier/attempts:
  * a failover catch-up legitimately re-solves cold where the oracle
- * ran warm, but every rung is exact, so the *answers* must agree.
+ * repaired, but every rung is exact, so the *answers* must agree.
  */
 void
 mixRecord(std::uint64_t& h, const EventRecord& r, bool semantic)

@@ -5,7 +5,7 @@
  * ControlPlane replaces the batch "evaluate the whole fleet every
  * epoch" loop with an online one. It owns a HeartbeatTracker (who is
  * alive, who holds budget) and an IncrementalPlacer (the Cached /
- * Repair / WarmLp / cold ladder), and walks a totally-ordered
+ * Repair / cold Hungarian ladder), and walks a totally-ordered
  * EventLog tick by tick:
  *
  *   1. advance the heartbeat tracker to the event's tick — missed
@@ -43,7 +43,7 @@
  * tracker, fresh placer, fresh memo), so the same log produces a
  * bit-identical CtrlRollup fingerprint on every call and for every
  * thread count — the parallel kernels underneath (matrix cell
- * builds, LP pricing/pivoting) are bit-identical by construction,
+ * builds) are bit-identical by construction,
  * and nothing reads the wall clock.
  */
 
@@ -114,7 +114,8 @@ struct ControlPlaneConfig
     BackpressureConfig backpressure;
     /**
      * Bench baseline: disable every incremental rung and memo; every
-     * re-place is a cold placeWithFallback. Results (assignments,
+     * re-place is a cold placeWithFallback (Hungarian first — the
+     * same engine as the ladder's cold rung). Results (assignments,
      * objectives) stay field-identical when optima are unique — only
      * tiers, attempt counts, and wall-clock move.
      */
@@ -169,7 +170,7 @@ struct CtrlRollup
     /**
      * Like fingerprint, but over result semantics only: tiers and
      * attempt counters are excluded. A failover catch-up re-solves
-     * cold where the uninterrupted oracle ran warm, so the two runs
+     * cold where the uninterrupted oracle repaired, so the two runs
      * legitimately differ in tier counters while every assignment,
      * objective, shed decision, liveness bit, and milliwatt of
      * budget must agree — this is the fingerprint the chaos

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "math/hungarian_repair.hpp"
 #include "util/check.hpp"
 
 namespace poco::math
@@ -22,92 +23,9 @@ validateView(MatrixView m)
 } // namespace
 
 std::vector<int>
-solveAssignmentMin(MatrixView cost)
-{
-    validateView(cost);
-    const int n = static_cast<int>(cost.rows);
-    const int m = static_cast<int>(cost.cols);
-    constexpr double inf = std::numeric_limits<double>::infinity();
-
-    // Potentials-based Kuhn-Munkres with 1-based sentinel row/column.
-    // u[i], v[j] are dual potentials; way[j] is the augmenting-path
-    // predecessor; p[j] is the row matched to column j.
-    std::vector<double> u(static_cast<std::size_t>(n) + 1, 0.0);
-    std::vector<double> v(static_cast<std::size_t>(m) + 1, 0.0);
-    std::vector<int> p(static_cast<std::size_t>(m) + 1, 0);
-    std::vector<int> way(static_cast<std::size_t>(m) + 1, 0);
-
-    for (int i = 1; i <= n; ++i) {
-        p[0] = i;
-        int j0 = 0;
-        std::vector<double> minv(static_cast<std::size_t>(m) + 1, inf);
-        std::vector<char> used(static_cast<std::size_t>(m) + 1, 0);
-        do {
-            used[static_cast<std::size_t>(j0)] = 1;
-            const int i0 = p[static_cast<std::size_t>(j0)];
-            const double* row =
-                cost.row(static_cast<std::size_t>(i0 - 1));
-            const double ui = u[static_cast<std::size_t>(i0)];
-            double delta = inf;
-            int j1 = -1;
-            for (int j = 1; j <= m; ++j) {
-                if (used[static_cast<std::size_t>(j)])
-                    continue;
-                const double cur =
-                    row[static_cast<std::size_t>(j - 1)] - ui -
-                    v[static_cast<std::size_t>(j)];
-                if (cur < minv[static_cast<std::size_t>(j)]) {
-                    minv[static_cast<std::size_t>(j)] = cur;
-                    way[static_cast<std::size_t>(j)] = j0;
-                }
-                if (minv[static_cast<std::size_t>(j)] < delta) {
-                    delta = minv[static_cast<std::size_t>(j)];
-                    j1 = j;
-                }
-            }
-            POCO_ASSERT(j1 != -1, "no augmenting column found");
-            for (int j = 0; j <= m; ++j) {
-                if (used[static_cast<std::size_t>(j)]) {
-                    u[static_cast<std::size_t>(
-                        p[static_cast<std::size_t>(j)])] += delta;
-                    v[static_cast<std::size_t>(j)] -= delta;
-                } else {
-                    minv[static_cast<std::size_t>(j)] -= delta;
-                }
-            }
-            j0 = j1;
-        } while (p[static_cast<std::size_t>(j0)] != 0);
-
-        // Augment along the alternating path.
-        do {
-            const int j1 = way[static_cast<std::size_t>(j0)];
-            p[static_cast<std::size_t>(j0)] =
-                p[static_cast<std::size_t>(j1)];
-            j0 = j1;
-        } while (j0 != 0);
-    }
-
-    std::vector<int> assignment(static_cast<std::size_t>(n), -1);
-    for (int j = 1; j <= m; ++j)
-        if (p[static_cast<std::size_t>(j)] > 0)
-            assignment[static_cast<std::size_t>(
-                p[static_cast<std::size_t>(j)] - 1)] = j - 1;
-    return assignment;
-}
-
-std::vector<int>
 solveAssignmentMax(MatrixView value)
 {
-    validateView(value);
-    std::vector<double> cost(value.rows * value.cols);
-    for (std::size_t i = 0; i < value.rows; ++i) {
-        const double* __restrict__ src = value.row(i);
-        double* __restrict__ dst = cost.data() + i * value.cols;
-        for (std::size_t j = 0; j < value.cols; ++j)
-            dst[j] = -src[j];
-    }
-    return solveAssignmentMin(
-        MatrixView{cost.data(), value.rows, value.cols});
+    return HungarianRepair().solveFull(value);
 }
 
 double

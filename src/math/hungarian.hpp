@@ -2,10 +2,11 @@
  * @file
  * Hungarian (Kuhn-Munkres) algorithm for the assignment problem.
  *
- * O(n^3) potentials-based implementation. The cluster manager uses it
- * as an exact, fast alternative to the assignment LP (the paper cites
- * Munkres [30] among the standard methods); tests cross-check both
- * against exhaustive search.
+ * O(n^3) potentials-based implementation (math::HungarianRepair is
+ * the one engine). The cluster manager's production placements all
+ * run on it; the assignment LP (math/simplex.hpp) stays as the
+ * paper-fidelity policy and, with exhaustive search, as a test
+ * oracle (the paper cites Munkres [30] among the standard methods).
  *
  * Every entry point takes a math::MatrixView over flat row-major
  * storage (the cluster layer's PerformanceMatrix buffer). The
@@ -23,19 +24,14 @@ namespace poco::math
 {
 
 /**
- * Minimum-cost assignment.
- *
- * @param cost cost(i, j) is the cost of assigning agent i to task j.
- *             Requires rows <= cols.
- * @return assignment[i] = task chosen for agent i (distinct tasks).
- */
-std::vector<int> solveAssignmentMin(MatrixView cost);
-
-/**
- * Maximum-value assignment (negates and delegates to the min solver).
+ * Maximum-value assignment: a one-shot math::HungarianRepair cold
+ * solve, so batch placement, admission, and the streaming ladder's
+ * cold rung all return the same optimum, ties included. (Minimum
+ * cost: negate the matrix.)
  *
  * @param value value(i, j) is the benefit of assigning agent i to
  *              task j. Requires rows <= cols.
+ * @return assignment[i] = task chosen for agent i (distinct tasks).
  */
 std::vector<int> solveAssignmentMax(MatrixView value);
 

@@ -43,7 +43,7 @@ class HungarianRepair
     /**
      * Cold solve: maximum-value assignment of @p value (rectangular,
      * rows <= cols), retaining potentials and matching for repairs.
-     * Same optimum as solveAssignmentMax.
+     * solveAssignmentMax is this call on a throwaway engine.
      */
     std::vector<int> solveFull(MatrixView value);
 

@@ -22,8 +22,7 @@ constexpr double kArtificialPenalty = -1e15;
 /**
  * A canonicalized LP: the zero-initialized tableau with slack /
  * surplus / artificial columns laid out and the starting basis
- * installed. Shared by solveLp and AssignmentLpSolver so a retained
- * warm-start tableau is structurally identical to a cold one.
+ * installed.
  */
 struct Canonical
 {
@@ -135,7 +134,7 @@ phase2Costs(const Canonical& c, const std::vector<double>& objective)
  */
 LpStatus
 runTwoPhase(Canonical& c, const std::vector<double>& objective,
-            const LpOptions& options, std::size_t* pivots)
+            const LpOptions& options)
 {
     SimplexTableau& t = c.t;
     const std::size_t m = t.constraintRows();
@@ -147,7 +146,7 @@ runTwoPhase(Canonical& c, const std::vector<double>& objective,
         for (std::size_t j = c.art_begin; j < ncols; ++j)
             phase1[j] = -1.0;
         t.setObjective(phase1, options);
-        if (!t.iterate(options, pivots)) {
+        if (!t.iterate(options)) {
             // Cannot be unbounded: the phase-1 objective is bounded
             // above by zero.
             poco::panic("phase-1 simplex reported unbounded");
@@ -165,11 +164,8 @@ runTwoPhase(Canonical& c, const std::vector<double>& objective,
                         break;
                     }
                 }
-                if (enter != ncols) {
+                if (enter != ncols)
                     t.pivot(r, enter, options);
-                    if (pivots != nullptr)
-                        ++*pivots;
-                }
                 // else: the row is all-zero over real variables, i.e. a
                 // redundant constraint; the artificial stays basic at 0
                 // and is harmless because phase 2 gives it a huge
@@ -180,7 +176,7 @@ runTwoPhase(Canonical& c, const std::vector<double>& objective,
 
     // Phase 2: the real objective.
     t.setObjective(phase2Costs(c, objective), options);
-    if (!t.iterate(options, pivots))
+    if (!t.iterate(options))
         return LpStatus::Unbounded;
     return LpStatus::Optimal;
 }
@@ -236,13 +232,13 @@ buildAssignmentProblem(MatrixView value)
 }
 
 /**
- * Per-row argmax of the flattened LP solution, or nullopt when any
- * row's best cell is fractional (a degenerate-tie vertex that is not
- * a permutation matrix).
+ * Per-row argmax of the flattened LP solution. The optimal vertex of
+ * the assignment polytope is a permutation matrix, so every row's
+ * best cell must be (near) 1.
  */
-std::optional<std::vector<int>>
-tryExtractAssignment(const std::vector<double>& x, std::size_t rows,
-                     std::size_t cols)
+std::vector<int>
+extractAssignment(const std::vector<double>& x, std::size_t rows,
+                  std::size_t cols)
 {
     std::vector<int> assignment(rows, -1);
     for (std::size_t i = 0; i < rows; ++i) {
@@ -254,8 +250,8 @@ tryExtractAssignment(const std::vector<double>& x, std::size_t rows,
                 assignment[i] = static_cast<int>(j);
             }
         }
-        if (best <= 0.5)
-            return std::nullopt;
+        POCO_ASSERT(best > 0.5,
+                    "assignment LP produced a fractional solution");
     }
     return assignment;
 }
@@ -321,42 +317,14 @@ SimplexTableau::priceDantzig(const LpOptions& options) const
     };
     const double* __restrict__ obj = row(m_);
 
-    // The serial scan keeps the first strict maximum, and that
-    // answer is chunk-invariant: within any range the first strict
-    // maximum is the first index attaining the plain running max, so
-    // a range can be scanned as a vectorizable max sweep followed by
-    // a first-equal locate — same result, bit for bit, because the
-    // double max and the equality compare are exact. Chunks combine
-    // left to right preferring the left side on exact ties, exactly
-    // like the previous parallelReduce fold.
+    // Each range keeps its first strict maximum; chunks combine left
+    // to right preferring the left side on exact ties, so any
+    // chunking returns the serial scan's index.
     auto scanRange = [obj](std::size_t lo, std::size_t hi,
                            Best acc) {
-        // Four independent running maxima: max is insensitive to
-        // lane interleaving, so the combined peak equals the
-        // single-chain scan's value and the locate pass below
-        // restores the exact first-index answer.
-        double p0 = acc.d;
-        double p1 = acc.d;
-        double p2 = acc.d;
-        double p3 = acc.d;
-        std::size_t j = lo;
-        for (; j + 4 <= hi; j += 4) {
-            p0 = obj[j] > p0 ? obj[j] : p0;
-            p1 = obj[j + 1] > p1 ? obj[j + 1] : p1;
-            p2 = obj[j + 2] > p2 ? obj[j + 2] : p2;
-            p3 = obj[j + 3] > p3 ? obj[j + 3] : p3;
-        }
-        double peak = p0;
-        peak = p1 > peak ? p1 : peak;
-        peak = p2 > peak ? p2 : peak;
-        peak = p3 > peak ? p3 : peak;
-        for (; j < hi; ++j)
-            peak = obj[j] > peak ? obj[j] : peak;
-        if (peak > acc.d) {
-            for (std::size_t j = lo; j < hi; ++j)
-                if (obj[j] == peak)
-                    return Best{peak, j};
-        }
+        for (std::size_t j = lo; j < hi; ++j)
+            if (obj[j] > acc.d)
+                acc = Best{obj[j], j};
         return acc;
     };
 
@@ -426,32 +394,6 @@ SimplexTableau::ratioTest(std::size_t enter,
     return pick.row;
 }
 
-namespace
-{
-
-/**
- * y[c] -= a * x[c] over [0, n), 4-wide unrolled so the compiler can
- * keep SIMD lanes full without a runtime dependence check (the
- * pointers are declared non-aliasing). Each element runs the exact
- * scalar operation, so the result is bit-identical to the plain loop.
- */
-inline void
-axpySub(double* __restrict__ y, const double* __restrict__ x,
-        double a, std::size_t n)
-{
-    std::size_t c = 0;
-    for (; c + 4 <= n; c += 4) {
-        y[c] -= a * x[c];
-        y[c + 1] -= a * x[c + 1];
-        y[c + 2] -= a * x[c + 2];
-        y[c + 3] -= a * x[c + 3];
-    }
-    for (; c < n; ++c)
-        y[c] -= a * x[c];
-}
-
-} // namespace
-
 void
 SimplexTableau::pivot(std::size_t prow, std::size_t pcol,
                       const LpOptions& options)
@@ -460,17 +402,8 @@ SimplexTableau::pivot(std::size_t prow, std::size_t pcol,
     const double p = src[pcol];
     POCO_ASSERT(std::abs(p) > kEps, "pivot on a ~zero element");
     const double inv = 1.0 / p;
-    {
-        std::size_t c = 0;
-        for (; c + 4 <= stride_; c += 4) {
-            src[c] *= inv;
-            src[c + 1] *= inv;
-            src[c + 2] *= inv;
-            src[c + 3] *= inv;
-        }
-        for (; c < stride_; ++c)
-            src[c] *= inv;
-    }
+    for (std::size_t c = 0; c < stride_; ++c)
+        src[c] *= inv;
     src[pcol] = 1.0;
 
     // Eliminate the pivot column from every other row, including the
@@ -491,14 +424,15 @@ SimplexTableau::pivot(std::size_t prow, std::size_t pcol,
             dst[pcol] = 0.0;
             return;
         }
-        axpySub(dst, piv, factor, stride_);
+        for (std::size_t c = 0; c < stride_; ++c)
+            dst[c] -= factor * piv[c];
         dst[pcol] = 0.0;
     });
     basis_[prow] = pcol;
 }
 
 bool
-SimplexTableau::iterate(const LpOptions& options, std::size_t* pivots)
+SimplexTableau::iterate(const LpOptions& options)
 {
     // Dantzig pricing can cycle on degenerate vertices; after this
     // many consecutive zero-progress pivots, switch to Bland's rule
@@ -522,8 +456,6 @@ SimplexTableau::iterate(const LpOptions& options, std::size_t* pivots)
             degenerate = 0;
         }
         pivot(leave, enter, options);
-        if (pivots != nullptr)
-            ++*pivots;
     }
 }
 
@@ -533,8 +465,7 @@ solveLp(const LpProblem& problem, const LpOptions& options)
     Canonical c = canonicalize(problem);
 
     LpSolution solution;
-    solution.status =
-        runTwoPhase(c, problem.objective, options, nullptr);
+    solution.status = runTwoPhase(c, problem.objective, options);
     if (solution.status != LpStatus::Optimal)
         return solution;
 
@@ -553,103 +484,7 @@ solveAssignmentLp(MatrixView value, const LpOptions& options)
     POCO_ASSERT(sol.status == LpStatus::Optimal,
                 "assignment LP must be feasible and bounded");
 
-    auto assignment =
-        tryExtractAssignment(sol.x, value.rows, value.cols);
-    POCO_ASSERT(assignment.has_value(),
-                "assignment LP produced a fractional solution");
-    return *assignment;
-}
-
-std::vector<int>
-AssignmentLpSolver::solveCold(MatrixView value)
-{
-    const std::size_t rows = value.rows;
-    const std::size_t cols = value.cols;
-
-    const LpProblem lp = buildAssignmentProblem(value);
-    Canonical c = canonicalize(lp);
-
-    last_pivots_ = 0;
-    const LpStatus status =
-        runTwoPhase(c, lp.objective, options_, &last_pivots_);
-    POCO_ASSERT(status == LpStatus::Optimal,
-                "assignment LP must be feasible and bounded");
-
-    auto assignment =
-        tryExtractAssignment(extractX(c.t, c.n), rows, cols);
-    POCO_ASSERT(assignment.has_value(),
-                "assignment LP produced a fractional solution");
-
-    tableau_ = std::move(c.t);
-    rows_ = rows;
-    cols_ = cols;
-    art_begin_ = c.art_begin;
-    has_basis_ = true;
-    exported_basis_ = tableau_.basis();
-    return *assignment;
-}
-
-std::optional<std::vector<int>>
-AssignmentLpSolver::solveWarm(MatrixView value)
-{
-    const std::size_t rows = value.rows;
-    POCO_REQUIRE(rows > 0, "assignment needs at least one agent");
-    const std::size_t cols = value.cols;
-    POCO_REQUIRE(cols > 0, "assignment matrix must have columns");
-
-    if (!hasBasis(rows, cols)) {
-        invalidate();
-        return std::nullopt;
-    }
-
-    // The constraint rows (and therefore B^-1 b >= 0) are untouched:
-    // the retained basis stays primal feasible for any objective of
-    // the same shape. Re-price and walk to the new optimum.
-    const std::size_t ncols = tableau_.cols();
-    std::vector<double> cost(ncols, 0.0);
-    for (std::size_t i = 0; i < rows; ++i) {
-        const double* __restrict__ src = value.row(i);
-        double* __restrict__ dst = cost.data() + i * cols;
-        for (std::size_t j = 0; j < cols; ++j)
-            dst[j] = src[j];
-    }
-    for (std::size_t j = art_begin_; j < ncols; ++j)
-        cost[j] = kArtificialPenalty;
-    tableau_.setObjective(cost, options_);
-
-    last_pivots_ = 0;
-    if (!tableau_.iterate(options_, &last_pivots_)) {
-        // The assignment polytope is bounded; an unbounded report
-        // means the retained tableau is corrupt. Drop it.
-        invalidate();
-        return std::nullopt;
-    }
-
-    auto assignment = tryExtractAssignment(
-        extractX(tableau_, rows * cols), rows, cols);
-    if (!assignment.has_value()) {
-        invalidate();
-        return std::nullopt;
-    }
-    exported_basis_ = tableau_.basis();
-    return assignment;
-}
-
-std::uint64_t
-AssignmentLpSolver::basisFingerprint() const
-{
-    if (!has_basis_)
-        return 0;
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::size_t var : exported_basis_) {
-        std::uint64_t word = static_cast<std::uint64_t>(var);
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= word & 0xffu;
-            h *= 1099511628211ull;
-            word >>= 8;
-        }
-    }
-    return h;
+    return extractAssignment(sol.x, value.rows, value.cols);
 }
 
 } // namespace poco::math

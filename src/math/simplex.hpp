@@ -2,16 +2,19 @@
  * @file
  * Two-phase dense simplex solver for small-to-medium linear programs.
  *
- * The cluster manager formulates placement as an assignment LP
- * (Section IV-B cites standard LP/Hungarian methods). The assignment
- * polytope is integral, so the LP optimum is a permutation matrix; we
- * verify this against the Hungarian solver in tests.
+ * The paper formulates placement as an assignment LP (Section IV-B
+ * cites standard LP/Hungarian methods). The assignment polytope is
+ * integral, so the LP optimum is a permutation matrix. Production
+ * placement runs on the Hungarian engine (math/hungarian.hpp), which
+ * reaches the same optimum thousands of times faster; this solver is
+ * reachable only through solveLp, solveAssignmentLp, and the
+ * paper-fidelity cluster::PlacementKind::Lp policy, and it doubles
+ * as the tests' LP oracle.
  *
  * The solver handles: maximize c'x subject to a mix of <=, =, >=
  * constraints and x >= 0.
  *
- * Performance design (the placement hot path once the cluster-scaling
- * benches sweep past the paper's 4x4):
+ * Layout and parallelism:
  *  - The tableau lives in one contiguous row-major buffer (rhs folded
  *    in as the last column), so a pivot streams through cache lines
  *    instead of chasing a row-pointer per constraint.
@@ -37,8 +40,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "math/matrix_view.hpp"
@@ -203,12 +204,9 @@ class SimplexTableau
      * pricing with a Bland's-rule fallback after a long run of
      * degenerate pivots (anti-cycling).
      *
-     * @param pivots When non-null, incremented once per pivot — the
-     *        warm-start benches count how much work a hot basis saves.
      * @return true when an optimum was reached, false when unbounded.
      */
-    bool iterate(const LpOptions& options = {},
-                 std::size_t* pivots = nullptr);
+    bool iterate(const LpOptions& options = {});
 
   private:
     std::size_t m_ = 0;      // constraint rows
@@ -244,85 +242,5 @@ LpSolution solveLp(const LpProblem& problem,
  */
 std::vector<int> solveAssignmentLp(MatrixView value,
                                    const LpOptions& options = {});
-
-/**
- * Warm-startable assignment-LP solver (the control plane's hot path).
- *
- * The doubly-stochastic assignment polytope has a fixed constraint
- * structure for a given (rows, cols) shape: only the objective row
- * depends on the value matrix. The flat tableau after an optimal
- * solve therefore remains a valid feasible basis for *any* objective
- * of the same shape — a perturbed matrix needs only a re-priced
- * reduced-cost row and however few pivots separate the old vertex
- * from the new optimum, not a cold two-phase solve.
- *
- * solveCold() runs the exact code path of solveAssignmentLp() (same
- * canonicalization, same pivot sequence — bit-identical assignments)
- * and retains the final tableau; solveWarm() re-prices and iterates
- * from the retained basis. Warm solves are field-exact equals of cold
- * solves whenever the optimum is unique; the degenerate-tie case is
- * caught by the integrality check and reported as a miss so the
- * caller can fall back to a cold solve.
- */
-class AssignmentLpSolver
-{
-  public:
-    explicit AssignmentLpSolver(LpOptions options = {})
-        : options_(options)
-    {}
-
-    /**
-     * Two-phase solve from scratch; retains the optimal basis for
-     * subsequent warm solves. Bit-identical to solveAssignmentLp().
-     */
-    std::vector<int> solveCold(MatrixView value);
-
-    /**
-     * Re-solve after the value matrix changed but the shape did not:
-     * re-price the new objective over the retained basis and iterate.
-     * @return The assignment, or nullopt (with the basis invalidated)
-     *         when no compatible basis is held or the warm pivot path
-     *         ends on a fractional vertex — the caller must fall back
-     *         to solveCold().
-     */
-    std::optional<std::vector<int>> solveWarm(MatrixView value);
-
-    /** True when a basis for a (rows, cols) instance is retained. */
-    bool hasBasis(std::size_t rows, std::size_t cols) const
-    {
-        return has_basis_ && rows == rows_ && cols == cols_;
-    }
-
-    /** Drop the retained basis (next solve must be cold). */
-    void invalidate() { has_basis_ = false; }
-
-    /**
-     * The retained basis: basic-variable index per constraint row.
-     * Exported so replay checkpoints and the determinism tests can
-     * compare solver states across runs. Empty when !hasBasis().
-     */
-    const std::vector<std::size_t>& basis() const
-    {
-        return exported_basis_;
-    }
-
-    /** FNV-1a over the retained basis (0 when none is held). */
-    std::uint64_t basisFingerprint() const;
-
-    /** Pivots the most recent solve spent (cold or warm). */
-    std::size_t lastPivots() const { return last_pivots_; }
-
-    const LpOptions& options() const { return options_; }
-
-  private:
-    LpOptions options_;
-    SimplexTableau tableau_;
-    std::size_t rows_ = 0;
-    std::size_t cols_ = 0;
-    std::size_t art_begin_ = 0;
-    bool has_basis_ = false;
-    std::vector<std::size_t> exported_basis_;
-    std::size_t last_pivots_ = 0;
-};
 
 } // namespace poco::math

@@ -3,8 +3,8 @@
  * Structured result wrapper for degradation-aware computations.
  *
  * Several layers of the system can succeed at different quality
- * levels: the placement fallback chain walks LP -> Hungarian ->
- * Greedy before settling for a preference-free assignment, the fleet
+ * levels: the placement fallback chain walks Hungarian -> Greedy
+ * before settling for a preference-free assignment, the fleet
  * evaluator can finish an epoch with its power budget clamped, and
  * the fit-health gate can refuse to trust the preference matrix
  * entirely. Earlier revisions reported these side channels through
@@ -23,16 +23,15 @@ namespace poco
 /**
  * Which rung of the solver/degradation ladder produced a value.
  * Ordered from most to least preferred; larger enumerators mean a
- * deeper fallback.
+ * deeper fallback. Every exact solve is Hungarian: the simplex
+ * (PlacementKind::Lp) is a paper-fidelity policy, not a rung.
  */
 enum class SolverTier
 {
     None,         ///< nothing ran (empty/unsolved outcome)
     Cached,       ///< exact hit in the assignment cache (no solve)
     Repair,       ///< incremental Hungarian repair of a prior optimum
-    WarmLp,       ///< simplex warm-started from the retained basis
-    Lp,           ///< LP assignment solve (primary path)
-    Hungarian,    ///< exact combinatorial fallback
+    Hungarian,    ///< exact cold Kuhn-Munkres solve (primary path)
     Greedy,       ///< heuristic fallback (still preference-driven)
     Conservative, ///< preference-free terminal fallback
 };
@@ -44,8 +43,6 @@ solverTierName(SolverTier tier)
       case SolverTier::None:         return "none";
       case SolverTier::Cached:       return "cached";
       case SolverTier::Repair:       return "repair";
-      case SolverTier::WarmLp:       return "warm-lp";
-      case SolverTier::Lp:           return "lp";
       case SolverTier::Hungarian:    return "hungarian";
       case SolverTier::Greedy:       return "greedy";
       case SolverTier::Conservative: return "conservative";

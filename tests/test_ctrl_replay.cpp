@@ -172,7 +172,7 @@ TEST(CtrlReplay, IncrementalMatchesForceColdFieldExactly)
 
     // The ladder must be doing real incremental work.
     const cluster::IncrementalStats& stats = inc.value.solver;
-    EXPECT_GT(stats.cached + stats.repaired + stats.warm, 0u);
+    EXPECT_GT(stats.cached + stats.repaired, 0u);
 }
 
 TEST(CtrlReplay, TelemetryDeltasFlowThroughAggregator)

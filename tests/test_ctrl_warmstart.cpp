@@ -1,10 +1,8 @@
 /**
  * @file
  * Warm-start equivalence: every incremental solve rung must return
- * exactly what a cold solve would. AssignmentLpSolver::solveCold is
- * bit-identical to solveAssignmentLp and solveWarm matches cold
- * field-exactly under randomized perturbation storms; HungarianRepair
- * matches solveAssignmentMax after single-row/column repairs; the
+ * exactly what a cold solve would. HungarianRepair matches
+ * solveAssignmentMax after single-row/column repairs; the
  * IncrementalPlacer ladder matches placeWithFallback event by event.
  * Runs under tier-ctrl.
  */
@@ -12,13 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "cluster/incremental.hpp"
 #include "cluster/placement.hpp"
 #include "flat_matrix.hpp"
 #include "math/hungarian.hpp"
-#include "math/simplex.hpp"
 #include "util/rng.hpp"
 
 namespace poco
@@ -35,107 +33,6 @@ randomMatrix(Rng& rng, std::size_t rows, std::size_t cols)
     for (double& cell : value.cells)
         cell = rng.uniform(0.0, 100.0);
     return value;
-}
-
-double
-objectiveOf(const FlatMatrix& value,
-            const std::vector<int>& assignment)
-{
-    double total = 0.0;
-    for (std::size_t i = 0; i < assignment.size(); ++i)
-        if (assignment[i] >= 0)
-            total +=
-                value.at(i, static_cast<std::size_t>(assignment[i]));
-    return total;
-}
-
-TEST(CtrlWarmstart, ColdSolveMatchesSolveAssignmentLpBitwise)
-{
-    Rng rng(101);
-    math::AssignmentLpSolver solver;
-    for (int round = 0; round < 6; ++round) {
-        const std::size_t n = 2 + static_cast<std::size_t>(round);
-        const auto value = randomMatrix(rng, n, n + round % 2);
-        EXPECT_EQ(solver.solveCold(value),
-                  math::solveAssignmentLp(value))
-            << "round " << round;
-        EXPECT_TRUE(solver.hasBasis(n, n + round % 2));
-    }
-}
-
-TEST(CtrlWarmstart, WarmSolveMatchesColdUnderPerturbationStorm)
-{
-    // Storm: random single-cell, single-row, single-column, and
-    // full-matrix perturbations of one instance. After each, the
-    // warm path (retained basis + re-price) must reproduce the cold
-    // answer field-exactly, on assignment and objective both.
-    Rng rng(202);
-    const std::size_t n = 8;
-    auto value = randomMatrix(rng, n, n);
-
-    math::AssignmentLpSolver warm;
-    warm.solveCold(value);
-
-    int warm_hits = 0;
-    for (int round = 0; round < 60; ++round) {
-        switch (rng.uniformInt(0, 3)) {
-          case 0: { // one cell
-            const auto i = static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<int>(n) - 1));
-            const auto j = static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<int>(n) - 1));
-            value.at(i, j) = rng.uniform(0.0, 100.0);
-            break;
-          }
-          case 1: { // one row
-            const auto i = static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<int>(n) - 1));
-            for (std::size_t j = 0; j < n; ++j)
-                value.at(i, j) = rng.uniform(0.0, 100.0);
-            break;
-          }
-          case 2: { // one column
-            const auto col = static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<int>(n) - 1));
-            for (std::size_t i = 0; i < n; ++i)
-                value.at(i, col) = rng.uniform(0.0, 100.0);
-            break;
-          }
-          default: { // everything
-            for (double& cell : value.cells)
-                cell = rng.uniform(0.0, 100.0);
-            break;
-          }
-        }
-
-        const std::vector<int> cold =
-            math::solveAssignmentLp(value);
-        const auto hot = warm.solveWarm(value);
-        if (hot.has_value()) {
-            ++warm_hits;
-            EXPECT_EQ(*hot, cold) << "round " << round;
-            EXPECT_DOUBLE_EQ(objectiveOf(value, *hot),
-                             objectiveOf(value, cold));
-        } else {
-            // Contractual miss: the basis is dropped and a cold
-            // re-arm must succeed.
-            EXPECT_FALSE(warm.hasBasis(n, n));
-            EXPECT_EQ(warm.solveCold(value), cold);
-        }
-    }
-    // The storm is adjacent-state by construction; the warm path
-    // must carry the overwhelming majority of it.
-    EXPECT_GT(warm_hits, 40) << "warm basis barely ever applied";
-}
-
-TEST(CtrlWarmstart, WarmSolveRefusesShapeChange)
-{
-    Rng rng(303);
-    math::AssignmentLpSolver solver;
-    solver.solveCold(randomMatrix(rng, 4, 4));
-    EXPECT_FALSE(solver.solveWarm(randomMatrix(rng, 4, 5))
-                     .has_value());
-    EXPECT_FALSE(solver.hasBasis(4, 4)) << "mismatch invalidates";
 }
 
 TEST(CtrlWarmstart, HungarianRepairMatchesOracleAfterRowChange)
@@ -212,7 +109,6 @@ TEST(CtrlWarmstart, IncrementalPlacerMatchesColdChainEventByEvent)
             matrix(i, j) = rng.uniform(0.0, 100.0);
 
     cluster::IncrementalPlacer placer;
-    cluster::IncrementalStats last;
 
     auto check = [&](const cluster::PlacementDelta& delta,
                      int round) {
@@ -227,6 +123,7 @@ TEST(CtrlWarmstart, IncrementalPlacerMatchesColdChainEventByEvent)
     };
 
     check(cluster::PlacementDelta::shape(), -1);
+    std::uint64_t single_subject = 0;
     for (int round = 0; round < 50; ++round) {
         switch (rng.uniformInt(0, 2)) {
           case 0: { // LoadShift: one server column re-priced
@@ -235,6 +132,7 @@ TEST(CtrlWarmstart, IncrementalPlacerMatchesColdChainEventByEvent)
             for (std::size_t i = 0; i < rows; ++i)
                 matrix(i, col) = rng.uniform(0.0, 100.0);
             check(cluster::PlacementDelta::column(col), round);
+            ++single_subject;
             break;
           }
           case 1: { // BE profile refresh: one row re-priced
@@ -243,6 +141,7 @@ TEST(CtrlWarmstart, IncrementalPlacerMatchesColdChainEventByEvent)
             for (std::size_t j = 0; j < cols; ++j)
                 matrix(row, j) = rng.uniform(0.0, 100.0);
             check(cluster::PlacementDelta::row(row), round);
+            ++single_subject;
             break;
           }
           default: { // BudgetChange: same shape, everything scaled
@@ -257,13 +156,16 @@ TEST(CtrlWarmstart, IncrementalPlacerMatchesColdChainEventByEvent)
     }
 
     // The ladder must actually have been exercised, not just have
-    // fallen cold every time.
+    // fallen cold every time: most single-subject events should take
+    // the repair rung (a repair whose self-check fails re-arms cold),
+    // and every other solve is a cold Hungarian re-arm.
     const cluster::IncrementalStats& stats = placer.stats();
-    EXPECT_GT(stats.repaired + stats.warm + stats.cached, 25u)
+    EXPECT_GE(2 * (stats.repaired + stats.cached), single_subject)
         << "incremental rungs barely fired: repaired="
-        << stats.repaired << " warm=" << stats.warm
-        << " cached=" << stats.cached;
-    (void)last;
+        << stats.repaired << " cached=" << stats.cached
+        << " of " << single_subject << " single-subject events";
+    EXPECT_EQ(stats.repaired + stats.cached + stats.cold, 51u);
+    EXPECT_EQ(stats.fallback, 0u);
 }
 
 TEST(CtrlWarmstart, IncrementalPlacerResetForcesColdPath)

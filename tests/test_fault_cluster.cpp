@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for cluster-level degradation: the greedy solver, the
- * LP -> Hungarian -> Greedy fallback chain, the fit-health gate, and
+ * Hungarian -> Greedy fallback chain, the fit-health gate, and
  * crash-plan evaluation with bounded-retry re-placement.
  */
 
@@ -52,36 +52,36 @@ TEST(Placement, GreedyNeverBeatsExactButStaysValid)
     EXPECT_EQ(sorted, (std::vector<int>{0, 1}));
 }
 
-TEST(Placement, FallbackUsesLpFirst)
+TEST(Placement, FallbackUsesHungarianFirst)
 {
-    const auto report = placeWithFallback(handMatrix());
-    EXPECT_EQ(report.tier, SolverTier::Lp);
+    FallbackOptions options;
+    std::vector<PlacementKind> tried;
+    options.failInjection = [&tried](PlacementKind kind, int) {
+        tried.push_back(kind);
+        return false;
+    };
+    const auto report = placeWithFallback(handMatrix(), {}, options);
+    EXPECT_EQ(report.tier, SolverTier::Hungarian);
     EXPECT_EQ(report.attempts, 1);
     EXPECT_FALSE(report.degradation.conservative);
+    EXPECT_EQ(tried, std::vector<PlacementKind>{PlacementKind::Hungarian})
+        << "the simplex is a policy, not a rung of the chain";
     EXPECT_EQ(report.value,
-              place(handMatrix(), PlacementKind::Lp));
+              place(handMatrix(), PlacementKind::Hungarian));
 }
 
 TEST(Placement, FallbackWalksTheChain)
 {
     FallbackOptions options;
     options.failInjection = [](PlacementKind kind, int) {
-        return kind == PlacementKind::Lp;
+        return kind == PlacementKind::Hungarian;
     };
     const auto report =
         placeWithFallback(handMatrix(), {}, options);
-    EXPECT_EQ(report.tier, SolverTier::Hungarian);
-    EXPECT_EQ(report.attempts, 3); // 2 failed LP tries + 1 Hungarian
+    EXPECT_EQ(report.tier, SolverTier::Greedy);
+    EXPECT_EQ(report.attempts, 3); // 2 failed Hungarian tries + Greedy
     EXPECT_FALSE(report.degradation.conservative);
-    EXPECT_EQ(report.value,
-              place(handMatrix(), PlacementKind::Hungarian));
-
-    options.failInjection = [](PlacementKind kind, int) {
-        return kind != PlacementKind::Greedy;
-    };
-    const auto greedy = placeWithFallback(handMatrix(), {}, options);
-    EXPECT_EQ(greedy.tier, SolverTier::Greedy);
-    EXPECT_EQ(greedy.attempts, 5);
+    EXPECT_EQ(report.value, place(handMatrix(), PlacementKind::Greedy));
 }
 
 TEST(Placement, FallbackTerminatesWithIdentity)
@@ -92,20 +92,21 @@ TEST(Placement, FallbackTerminatesWithIdentity)
     const auto report =
         placeWithFallback(handMatrix(), {}, options);
     EXPECT_TRUE(report.degradation.conservative);
-    EXPECT_EQ(report.attempts, 3);
+    EXPECT_EQ(report.tier, SolverTier::Conservative);
+    EXPECT_EQ(report.attempts, 2); // one Hungarian + one Greedy try
     EXPECT_EQ(report.value, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(Placement, FallbackRetriesWithinAStage)
 {
-    // First LP attempt fails, second succeeds: no fallback needed.
+    // First Hungarian attempt fails, second succeeds: no fallback.
     FallbackOptions options;
     options.failInjection = [](PlacementKind kind, int attempt) {
-        return kind == PlacementKind::Lp && attempt == 0;
+        return kind == PlacementKind::Hungarian && attempt == 0;
     };
     const auto report =
         placeWithFallback(handMatrix(), {}, options);
-    EXPECT_EQ(report.tier, SolverTier::Lp);
+    EXPECT_EQ(report.tier, SolverTier::Hungarian);
     EXPECT_EQ(report.attempts, 2);
 }
 
@@ -144,7 +145,7 @@ TEST_F(FaultClusterTest, HealthyModelsPassTheGate)
     const auto report = evaluator_->placeBeRobust({0, 1, 2, 3});
     EXPECT_FALSE(report.degradation.conservative);
     EXPECT_EQ(report.value,
-              evaluator_->placeBe(PlacementKind::Lp));
+              evaluator_->placeBe(PlacementKind::Hungarian));
 }
 
 TEST_F(FaultClusterTest, UnreachableGateForcesConservative)
@@ -210,14 +211,14 @@ TEST_F(FaultClusterTest, CrashPlanWithSolverFaultsStaysBounded)
     const auto plan = fault::FaultPlan::fromWindows(windows);
     FallbackOptions options;
     options.failInjection = [](PlacementKind kind, int) {
-        return kind == PlacementKind::Lp;
+        return kind == PlacementKind::Hungarian;
     };
     const auto outcome = evaluator_->runWithServerFaults(
         plan, ManagerKind::Pom, options);
     ASSERT_EQ(outcome.epochs.size(), 2u);
     for (const auto& epoch : outcome.epochs) {
-        EXPECT_EQ(epoch.placement.tier, SolverTier::Hungarian);
-        // Bounded retry: 2 failed LP tries + 1 Hungarian success.
+        EXPECT_EQ(epoch.placement.tier, SolverTier::Greedy);
+        // Bounded retry: 2 failed Hungarian tries + 1 Greedy success.
         EXPECT_EQ(epoch.placement.attempts, 3);
     }
     EXPECT_EQ(outcome.solverAttempts, 6);
