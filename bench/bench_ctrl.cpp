@@ -10,7 +10,13 @@
  *    record must agree field-exactly (assignment fingerprint,
  *    objective, active BE count, placeable servers) — only the tier
  *    and attempt counters may differ, because taking cheaper rungs is
- *    the whole point. The bench exits 1 on any divergence.
+ *    the whole point. The bench exits 1 on any divergence. The
+ *    storm's cell model counts its calls: the replay engine's cell
+ *    table evaluates each (BE, server) cell at most once per load
+ *    change of that server, so the bench also exits 1 when the calls
+ *    exceed servers x bePool x (1 + fleet-wide shifts) + bePool x
+ *    single-server shifts. The calls a per-event full rebuild would
+ *    make are reported next to them.
  *
  *  - single-event resolve: one server column re-priced on an n x n
  *    matrix, IncrementalPlacer::resolve against a cold
@@ -23,6 +29,8 @@
  * overrides the output path).
  */
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -72,6 +80,20 @@ syntheticCell(std::size_t be, std::size_t server, double load)
     return base * (1.2 - load);
 }
 
+/** syntheticCell that counts its calls (the pool calls it from
+ *  several workers). */
+struct CountingCell
+{
+    std::atomic<std::size_t>* calls;
+
+    double operator()(std::size_t be, std::size_t server,
+                      double load) const
+    {
+        calls->fetch_add(1, std::memory_order_relaxed);
+        return syntheticCell(be, server, load);
+    }
+};
+
 double
 sinceSeconds(std::chrono::steady_clock::time_point t0)
 {
@@ -89,6 +111,13 @@ struct StormResult
     double incrementalSeconds = 0.0;
     bool identical = true;
     cluster::IncrementalStats solver;
+    /** Cell-model calls of the incremental replay. */
+    std::size_t cellCalls = 0;
+    /** Calls a per-event full rebuild would make: rows x live
+     *  servers summed over the re-solving records. */
+    std::size_t fullRebuildCalls = 0;
+    /** Analytic ceiling on cellCalls (see the file comment). */
+    std::size_t cellCallBound = 0;
 };
 
 /** Replay one generated storm both ways and diff every record. */
@@ -123,14 +152,32 @@ runStorm(std::size_t n, const cluster::SolverContext& context)
     out.servers = n;
     out.events = log.size();
 
-    ctrl::ControlPlane incremental(syntheticCell, config, context);
+    std::atomic<std::size_t> calls{0};
+    ctrl::ControlPlane incremental(CountingCell{&calls}, config,
+                                   context);
     const auto t_inc = std::chrono::steady_clock::now();
     const auto inc = incremental.replay(log);
     out.incrementalSeconds = sinceSeconds(t_inc);
+    out.cellCalls = calls.load();
 
+    std::size_t fleet_wide = 0;
+    std::size_t single_server = 0;
+    for (const ctrl::ControlEvent& e : log.events())
+        if (e.kind == ctrl::EventKind::LoadShift)
+            ++(e.subject < 0 ? fleet_wide : single_server);
+    // servers == bePool == n here.
+    out.cellCallBound = n * n * (1 + fleet_wide) + n * single_server;
+    for (const ctrl::EventRecord& r : inc.value.records)
+        if (r.tier != SolverTier::None)
+            out.fullRebuildCalls +=
+                std::min(r.activeBe, r.placeableServers) *
+                std::size_t{r.placeableServers};
+
+    // Same counting wrapper on both sides, so its cost is no
+    // handicap to either.
     ctrl::ControlPlaneConfig cold_config = config;
     cold_config.forceCold = true;
-    ctrl::ControlPlane cold(syntheticCell, cold_config, context);
+    ctrl::ControlPlane cold(CountingCell{&calls}, cold_config, context);
     const auto t_cold = std::chrono::steady_clock::now();
     const auto base = cold.replay(log);
     out.coldSeconds = sinceSeconds(t_cold);
@@ -257,10 +304,17 @@ main(int argc, char** argv)
                 "forceCold control plane):\n");
     bench::Json storm_rows = bench::Json::array();
     TextTable storm({"servers", "events", "resolves", "cold s",
-                     "incremental s", "speedup", "identical"});
+                     "incremental s", "speedup", "cell calls",
+                     "full rebuild", "bound", "identical"});
     for (const std::size_t n : {std::size_t{16}, std::size_t{64}}) {
         const StormResult r = runStorm(n, context);
         pass = pass && r.identical;
+        if (r.cellCalls > r.cellCallBound) {
+            pass = false;
+            std::printf("  gate miss: n=%zu cell calls %zu > bound "
+                        "%zu\n",
+                        n, r.cellCalls, r.cellCallBound);
+        }
         const double speedup =
             speedupOf(r.coldSeconds, r.incrementalSeconds);
         storm.addRow({std::to_string(r.servers),
@@ -268,6 +322,9 @@ main(int argc, char** argv)
                       std::to_string(r.resolves),
                       fmt(r.coldSeconds, 3),
                       fmt(r.incrementalSeconds, 3), fmt(speedup, 1),
+                      std::to_string(r.cellCalls),
+                      std::to_string(r.fullRebuildCalls),
+                      std::to_string(r.cellCallBound),
                       r.identical ? "yes" : "NO"});
         storm_rows.push(
             bench::Json::object()
@@ -286,6 +343,13 @@ main(int argc, char** argv)
                 .num("cold_seconds", r.coldSeconds)
                 .num("incremental_seconds", r.incrementalSeconds)
                 .num("speedup", speedup)
+                .integer("cell_calls",
+                         static_cast<std::int64_t>(r.cellCalls))
+                .integer("full_rebuild_cell_calls",
+                         static_cast<std::int64_t>(
+                             r.fullRebuildCalls))
+                .integer("cell_call_bound",
+                         static_cast<std::int64_t>(r.cellCallBound))
                 .flag("identical", r.identical));
     }
     std::printf("%s", storm.render().c_str());
@@ -332,12 +396,13 @@ main(int argc, char** argv)
 
     if (!pass) {
         std::printf("\nFAIL: incremental control plane diverged from "
-                    "the cold baseline or missed the speedup gate\n");
+                    "the cold baseline, exceeded the cell-call bound "
+                    "or missed the speedup gate\n");
         return 1;
     }
     std::printf("\nincremental ladder field-identical to cold "
-                "re-solve; single-event speedup >= %.1fx at n >= "
-                "64\n",
+                "re-solve; cell calls within the per-load-change "
+                "bound; single-event speedup >= %.1fx at n >= 64\n",
                 kMinSpeedup);
     return 0;
 }

@@ -175,7 +175,8 @@ struct FleetConfig
     int heartbeatDeadMisses = 4;
     /** LC load fraction every server starts the event loop at. */
     double streamingInitialLoad = 0.5;
-    /** Bench baseline: cold placeWithFallback on every event. */
+    /** Solver baseline: cold placeWithFallback on every event (the
+     *  solver ladder only; the cell table still serves the matrix). */
     bool streamingForceCold = false;
     /**
      * Masters in the control-plane group for

@@ -168,6 +168,8 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
         active_list_.push_back(i);
     }
     load_.assign(config.servers, config.initialLoad);
+    cell_table_.assign(config.bePool * config.servers, 0.0);
+    cell_valid_.assign(config.bePool * config.servers, 0);
     prev_alive_ = tracker_.placeableServers();
     pending_.reserve(config.backpressure.window + 1);
 }
@@ -198,6 +200,8 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
     active_list_ = checkpoint.activeList;
     active_list_.reserve(config.bePool);
     load_ = checkpoint.load;
+    cell_table_.assign(config.bePool * config.servers, 0.0);
+    cell_valid_.assign(config.bePool * config.servers, 0);
     budget_scale_ = checkpoint.budgetScale;
     prev_alive_ = checkpoint.prevAlive;
     records_ = checkpoint.records;
@@ -211,11 +215,12 @@ ReplayEngine::ReplayEngine(const CellModel& cells,
     pending_ = checkpoint.pending;
     pending_.reserve(config.backpressure.window + 1);
     dirty_sheds_ = checkpoint.dirtySheds;
-    // The placer and memo are deliberately cold here: the ladder's
-    // rungs are all exact, so the restored master re-derives the
-    // same assignments the checkpointed one would have — only tier
-    // counters differ, which is why the oracle comparison uses the
-    // semantic fingerprint.
+    // The placer, memo and cell table are deliberately cold here:
+    // the ladder's rungs are all exact and every cell is a pure
+    // function of the restored loads, so the restored master
+    // re-derives the same assignments the checkpointed one would
+    // have — only tier counters differ, which is why the oracle
+    // comparison uses the semantic fingerprint.
 }
 
 void
@@ -246,11 +251,16 @@ ReplayEngine::apply(const ControlEvent& e)
         const double level = std::clamp(e.value, 0.01, 1.0);
         if (e.subject < 0) {
             std::fill(load_.begin(), load_.end(), level);
+            std::fill(cell_valid_.begin(), cell_valid_.end(), 0);
             matrix_changed = true;
         } else if (static_cast<std::size_t>(e.subject) <
                    cfg.servers) {
             const auto srv = static_cast<std::size_t>(e.subject);
             load_[srv] = level;
+            // Dead or alive, the server's column is stale at the
+            // new level.
+            for (std::size_t be = 0; be < cfg.bePool; ++be)
+                cell_valid_[be * cfg.servers + srv] = 0;
             const auto col =
                 std::find(alive.begin(), alive.end(), srv);
             if (col != alive.end()) {
@@ -344,19 +354,28 @@ ReplayEngine::apply(const ControlEvent& e)
             degradation_.workShed = true;
         }
 
+        // Gather the matrix from the cell table, evaluating only
+        // the cells a LoadShift invalidated since they were priced.
         // Each cell is an independent pure call; fan the rows out
         // over the pool, each writing its own slice of the flat
-        // buffer. Slot-addressed writes keep the matrix
-        // bit-identical for any worker count.
+        // buffer and its own BE's table row (rows are distinct pool
+        // BEs). Slot-addressed writes keep the matrix bit-identical
+        // for any worker count.
         cluster::PerformanceMatrix matrix;
         matrix.resize(rows.size(), alive.size());
         runtime::parallelFor(
             context_.pool, rows.size(), [&](std::size_t i) {
+                const std::size_t base = rows[i] * cfg.servers;
                 double* row = matrix.row(i);
-                for (std::size_t c = 0; c < alive.size(); ++c)
-                    row[c] = cells_(rows[i], alive[c],
-                                       load_[alive[c]]) *
-                             budget_scale_;
+                for (std::size_t c = 0; c < alive.size(); ++c) {
+                    const std::size_t k = base + alive[c];
+                    if (!cell_valid_[k]) {
+                        cell_table_[k] = cells_(rows[i], alive[c],
+                                                load_[alive[c]]);
+                        cell_valid_[k] = 1;
+                    }
+                    row[c] = cell_table_[k] * budget_scale_;
+                }
             });
 
         const Outcome<std::vector<int>> placed =

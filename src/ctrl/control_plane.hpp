@@ -13,10 +13,15 @@
  *      recovered ones, changing the placement topology;
  *   2. apply the event to the modeled state (per-server LC load,
  *      active BE set, budget scale, crash flags);
- *   3. if the performance matrix changed, re-place with the cheapest
- *      sound delta: one column for a single-server LoadShift, a
- *      full same-shape refresh for a BudgetChange, a shape change
- *      whenever the BE set or the live server set moved.
+ *   3. if the performance matrix changed, gather it from the
+ *      engine's cell table — the CellModel runs only for cells a
+ *      LoadShift moved (one server's column, or every cell for a
+ *      fleet-wide shift); BudgetChange only rescales, and BE churn
+ *      and liveness changes only re-index rows and columns — then
+ *      re-place with the cheapest sound delta: one column for a
+ *      single-server LoadShift, a full same-shape refresh for a
+ *      BudgetChange, a shape change whenever the BE set or the live
+ *      server set moved.
  *
  * The per-event state machine lives in ReplayEngine so that it can
  * be driven one event at a time, checkpointed (CtrlCheckpoint), and
@@ -40,11 +45,12 @@
  * thread count.
  *
  * Replay contract: replay() resets every piece of state (fresh
- * tracker, fresh placer, fresh memo), so the same log produces a
- * bit-identical CtrlRollup fingerprint on every call and for every
- * thread count — the parallel kernels underneath (matrix cell
- * builds) are bit-identical by construction,
- * and nothing reads the wall clock.
+ * tracker, fresh placer, fresh memo, empty cell table), so the same
+ * log produces a bit-identical CtrlRollup fingerprint on every call
+ * and for every thread count — the parallel kernels underneath
+ * (matrix cell fills) are bit-identical by construction, a cached
+ * cell is the very value a fresh evaluation would return, and
+ * nothing reads the wall clock.
  */
 
 #pragma once
@@ -71,7 +77,11 @@ namespace poco::ctrl
 /**
  * Cell model: estimated BE throughput of pool candidate @p be
  * colocated with server @p server at LC load fraction @p load. Must
- * be a pure deterministic function — it is re-evaluated on replay.
+ * be a pure deterministic function: each ReplayEngine evaluates it
+ * at most once per (be, server) between load changes of that server
+ * and serves every later matrix from its cell table, and a replay or
+ * a restored engine evaluates it afresh. It may be called from
+ * several pool workers at once.
  */
 using CellModel = std::function<double(
     std::size_t be, std::size_t server, double load)>;
@@ -113,11 +123,13 @@ struct ControlPlaneConfig
     /** Event-admission window; disabled unless enabled is set. */
     BackpressureConfig backpressure;
     /**
-     * Bench baseline: disable every incremental rung and memo; every
-     * re-place is a cold placeWithFallback (Hungarian first — the
-     * same engine as the ladder's cold rung). Results (assignments,
-     * objectives) stay field-identical when optima are unique — only
-     * tiers, attempt counts, and wall-clock move.
+     * Solver baseline: disable every incremental rung and memo;
+     * every re-place is a cold placeWithFallback (Hungarian first —
+     * the same engine as the ladder's cold rung). It covers the
+     * solver ladder only: the matrix is still gathered from the cell
+     * table. Results (assignments, objectives) stay field-identical
+     * when optima are unique — only tiers, attempt counts, and
+     * wall-clock move.
      */
     bool forceCold = false;
 };
@@ -184,9 +196,10 @@ struct CtrlRollup
  * the heartbeat ledger (checkpoint-by-copy, see heartbeat.hpp), the
  * modeled cluster state, the partial rollup, and the backpressure
  * queue. Deliberately NOT checkpointed: the IncrementalPlacer's
- * engines and memo — solver state is a pure accelerator, and a
- * restored master re-arms it from scratch (exactness of every rung
- * keeps the answers identical; only tiers differ).
+ * engines and memo, and the engine's cell table — both are pure
+ * accelerators, and a restored master re-arms them from scratch
+ * (exactness of every rung and purity of the CellModel keep the
+ * answers identical; only tiers differ).
  */
 struct CtrlCheckpoint
 {
@@ -285,6 +298,17 @@ class ReplayEngine
     std::vector<char> active_;
     std::vector<std::size_t> active_list_;
     std::vector<double> load_;
+    /**
+     * Unscaled cells_(be, server, load_[server]), row-major by pool
+     * BE x server index (stable across shape changes, unlike matrix
+     * rows and columns). cell_valid_ (bytes, not vector<bool>: pooled
+     * row fills write disjoint elements) is cleared for a server's
+     * column by its LoadShift and everywhere by a fleet-wide one;
+     * no other event moves a cell. A pure accelerator like memo_:
+     * not checkpointed, empty after a restore.
+     */
+    std::vector<double> cell_table_;
+    std::vector<char> cell_valid_;
     double budget_scale_ = 1.0;
     std::vector<std::size_t> prev_alive_;
 

@@ -22,6 +22,7 @@
 #include "fault/fault_plan.hpp"
 #include "fleet/fleet_evaluator.hpp"
 #include "runtime/thread_pool.hpp"
+#include "synthetic_cell.hpp"
 #include "util/check.hpp"
 #include "util/milliwatts.hpp"
 #include "wl/registry.hpp"
@@ -31,27 +32,7 @@ namespace poco::ctrl
 namespace
 {
 
-/** Same synthetic cell as test_ctrl_replay: avalanche-finalized so
- *  optima are unique and warm answers must equal cold ones. */
-double
-syntheticCell(std::size_t be, std::size_t server, double load)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t w) {
-        h ^= w;
-        h *= 1099511628211ull;
-    };
-    mix(be + 1);
-    mix(server + 17);
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebull;
-    h ^= h >> 31;
-    const double base =
-        static_cast<double>(h >> 11) * 0x1p-53 * 90.0 + 5.0;
-    return base * (1.2 - load);
-}
+using test::syntheticCell;
 
 EventLogConfig
 stormConfig(std::uint64_t seed)
