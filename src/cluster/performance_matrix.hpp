@@ -155,9 +155,10 @@ buildPerformanceMatrix(const std::vector<BeCandidateModel>& be,
                        runtime::ThreadPool* pool = nullptr);
 
 /**
- * Reference scalar build: one estimateCellAtLoad() call per
- * (cell, load point), exactly as the pre-SoA implementation.
- * Retained as the bit-identity oracle for the batched path.
+ * Reference per-cell build: one estimateCellAtLoad() call (a one-shot
+ * lattice search) per (cell, load point), as the pre-SoA
+ * implementation. Retained as the bit-identity reference for the
+ * batched path's hoisting and load-point order.
  */
 PerformanceMatrix
 buildPerformanceMatrixScalar(const std::vector<BeCandidateModel>& be,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/check.hpp"
 
@@ -20,51 +19,8 @@ minPowerAllocationFor(const CobbDouglasUtility& utility,
     POCO_REQUIRE(headroom >= 1.0, "headroom must be >= 1");
     POCO_REQUIRE(tie_epsilon >= 0.0, "tie epsilon must be >= 0");
 
-    // Pass 1: the true power minimum over feasible cells.
-    const double want = target_perf * headroom;
-    Watts min_power;
-    bool feasible = false;
-    for (int c = 1; c <= spec.cores; ++c) {
-        for (int w = 1; w <= spec.llcWays; ++w) {
-            const std::vector<double> r = {static_cast<double>(c),
-                                           static_cast<double>(w)};
-            if (utility.performance(r) < want)
-                continue;
-            const Watts power = utility.powerAt(r);
-            if (!feasible || power < min_power) {
-                min_power = power;
-                feasible = true;
-            }
-        }
-    }
-    if (!feasible)
-        return std::nullopt;
-
-    // Pass 2: within the tie band, free the most cores (then ways)
-    // for the co-runner.
-    const Watts band = min_power * (1.0 + tie_epsilon);
-    std::optional<AllocationPlan> best;
-    for (int c = 1; c <= spec.cores; ++c) {
-        for (int w = 1; w <= spec.llcWays; ++w) {
-            const std::vector<double> r = {static_cast<double>(c),
-                                           static_cast<double>(w)};
-            const double perf = utility.performance(r);
-            if (perf < want)
-                continue;
-            const Watts power = utility.powerAt(r);
-            if (power > band)
-                continue;
-            const bool better =
-                !best || c < best->alloc.cores ||
-                (c == best->alloc.cores && w < best->alloc.ways);
-            if (better) {
-                best = AllocationPlan{
-                    sim::Allocation{c, w, spec.freqMax, 1.0}, power,
-                    perf};
-            }
-        }
-    }
-    return best;
+    return AllocationGrid(utility, spec)
+        .minPowerFor(target_perf, headroom, tie_epsilon);
 }
 
 AllocationGrid::AllocationGrid(const CobbDouglasUtility& utility,
@@ -76,8 +32,8 @@ AllocationGrid::AllocationGrid(const CobbDouglasUtility& utility,
     POCO_REQUIRE(spec.cores >= 1 && spec.llcWays >= 1,
                  "grid needs a non-empty lattice");
 
-    // SoA columns over the lattice in the scalar scan's (c outer,
-    // w inner) order, then one batched sweep per modeled quantity.
+    // SoA columns over the lattice in (c outer, w inner) order, then
+    // one batched sweep per modeled quantity.
     const std::size_t cells =
         static_cast<std::size_t>(spec.cores) *
         static_cast<std::size_t>(spec.llcWays);
@@ -106,8 +62,7 @@ AllocationGrid::minPowerFor(double target_perf, double headroom,
     POCO_REQUIRE(headroom >= 1.0, "headroom must be >= 1");
     POCO_REQUIRE(tie_epsilon >= 0.0, "tie epsilon must be >= 0");
 
-    // Pass 1: the true power minimum over feasible cells — same cell
-    // order and comparisons as minPowerAllocationFor().
+    // Pass 1: the true power minimum over feasible cells.
     const double want = target_perf * headroom;
     const double* __restrict__ perf = perf_.data();
     const double* __restrict__ power = power_.data();

@@ -43,6 +43,11 @@ struct AllocationPlan
  * fewest cores (then fewest ways) wins, leaving the co-runner the
  * most useful spare for ~free.
  *
+ * This is the one-shot form of AllocationGrid::minPowerFor(): it
+ * builds the grid and scans it once. Callers that query the same
+ * utility repeatedly (the POM controller, the matrix build) keep an
+ * AllocationGrid instead.
+ *
  * @param headroom Demand inflation factor (>= 1) guarding against
  *        model inaccuracies; 1.05 asks the model for 5% extra.
  * @param tie_epsilon Relative power band treated as a tie (>= 0).
@@ -55,18 +60,18 @@ minPowerAllocationFor(const CobbDouglasUtility& utility,
 
 /**
  * Structure-of-arrays evaluation of a utility over the whole
- * (cores, ways) lattice.
+ * (cores, ways) lattice, and the library's one lattice scan.
  *
- * minPowerAllocationFor() pays a log/exp pair per lattice cell per
- * query, and the matrix build queries the same utility at every load
- * point. The grid evaluates the modeled performance and power of
+ * The constructor evaluates the modeled performance and power of
  * every cell once — one batched log/exp sweep per resource column
- * via CobbDouglasUtility::performanceBatch — and minPowerFor() then
- * replays minPowerAllocationFor()'s two passes over the precomputed
- * columns: same cell order, same comparisons, same tie band. Because
- * the batched cell values are bit-identical to the scalar calls,
- * every minPowerFor() result is bit-identical to
- * minPowerAllocationFor() for any (target, headroom, tie_epsilon).
+ * via CobbDouglasUtility::performanceBatch, whose cells are
+ * bit-identical to the scalar performance()/powerAt() calls.
+ * minPowerFor() is then a two-pass scan over the precomputed
+ * columns with no allocation and no transcendental call: pass 1
+ * finds the minimum feasible power, pass 2 picks the fewest cores
+ * (then ways) within the tie band, both in (c outer, w inner) order.
+ * The independent cell-by-cell oracle lives in the test suite
+ * (tests/lattice_oracle.hpp).
  */
 class AllocationGrid
 {
@@ -74,7 +79,7 @@ class AllocationGrid
     AllocationGrid(const CobbDouglasUtility& utility,
                    const sim::ServerSpec& spec);
 
-    /** Bit-identical replay of minPowerAllocationFor(). */
+    /** Minimum-power allocation; see minPowerAllocationFor(). */
     std::optional<AllocationPlan>
     minPowerFor(double target_perf, double headroom = 1.0,
                 double tie_epsilon = 0.002) const;

@@ -101,6 +101,8 @@ PomController::PomController(model::CobbDouglasUtility utility,
     POCO_REQUIRE(config_.minSlack >= 0 &&
                  config_.minSlack < config_.highSlack,
                  "controller slack band must be ordered");
+    const auto pref = utility_.indirectPreference();
+    cores_cheaper_ = pref[0] >= pref[1];
 }
 
 sim::Allocation
@@ -141,8 +143,9 @@ PomController::decide(const ColocatedServer& server)
     const double target =
         std::max(server.load().value(), 1e-6) * config_.headroom *
         (1.0 + 0.02 * feedback_boost_);
-    const auto plan =
-        model::minPowerAllocationFor(utility_, target, spec);
+    if (!grid_)
+        grid_.emplace(utility_, spec);
+    const auto plan = grid_->minPowerFor(target);
     if (!plan) {
         // Even the full server is predicted short: give everything.
         POCO_DEBUG("pom", "load " << server.load()
@@ -159,8 +162,7 @@ PomController::decide(const ColocatedServer& server)
                                server.primaryAlloc().cores);
         alloc.ways = std::max(alloc.ways, server.primaryAlloc().ways);
         // And grow by one unit of the per-watt cheapest resource.
-        const auto pref = utility_.indirectPreference();
-        if (pref[0] >= pref[1] && alloc.cores < spec.cores)
+        if (cores_cheaper_ && alloc.cores < spec.cores)
             ++alloc.cores;
         else if (alloc.ways < spec.llcWays)
             ++alloc.ways;

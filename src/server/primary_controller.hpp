@@ -21,9 +21,11 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "model/cobb_douglas.hpp"
+#include "model/demand.hpp"
 #include "util/rng.hpp"
 #include "server/colocated_server.hpp"
 #include "sim/allocation.hpp"
@@ -102,7 +104,14 @@ class HeraclesController : public PrimaryController
     int cooldown_ = 0;
 };
 
-/** Utility-guided power-optimized controller (POM). */
+/**
+ * Utility-guided power-optimized controller (POM).
+ *
+ * A controller drives one server for its whole life (the manager
+ * owns it), so the lattice it searches never changes: the first
+ * decide() evaluates the utility over the server's (cores, ways)
+ * lattice once, and every later decision scans that grid.
+ */
 class PomController : public PrimaryController
 {
   public:
@@ -125,6 +134,13 @@ class PomController : public PrimaryController
     std::string name_ = "pom";
     model::CobbDouglasUtility utility_;
     ControllerConfig config_;
+    /** Cores are the per-watt cheaper resource (indirect preference). */
+    bool cores_cheaper_ = false;
+    /**
+     * The utility over the server's lattice; built from server.spec()
+     * on the first decide() and kept for the controller's lifetime.
+     */
+    std::optional<model::AllocationGrid> grid_;
     /** Extra demand headroom (2% units) learned from shortfalls. */
     int feedback_boost_ = 0;
     /** Load at the last regime change; <0 before the first decide. */
