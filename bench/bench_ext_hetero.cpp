@@ -83,7 +83,7 @@ struct FleetRun
 
 FleetRun
 runFleet(const wl::AppSet& old_set, const wl::AppSet& new_set,
-         int shards, int threads, bool async)
+         int shards, int threads)
 {
     std::vector<fleet::FleetServer> servers;
     for (std::size_t j = 0; j < old_set.lc.size(); ++j)
@@ -99,8 +99,7 @@ runFleet(const wl::AppSet& old_set, const wl::AppSet& new_set,
             .withSeed(29)
             .withShards(shards)
             .withThreads(threads)
-            .withEpochLoads({0.4, 0.7, 0.9})
-            .withAsyncTelemetry(async);
+            .withEpochLoads({0.4, 0.7, 0.9});
 
     FleetRun out;
     const auto t0 = std::chrono::steady_clock::now();
@@ -250,14 +249,13 @@ main(int argc, char** argv)
     // The same mixed fleet through poco::fleet — two clusters (old
     // and new platform), evaluated end to end. The rollup must be
     // bit-identical for every shard x thread combination (the bench
-    // exits 1 if not), and the async telemetry aggregator should
-    // remove the inline fold cost the synchronous path pays.
+    // exits 1 if not).
     std::printf("\nfleet layer: sharded evaluation "
                 "(two clusters, eight servers):\n");
     const wl::AppSet old_set = makeAppSet(sim::xeonE5_2650());
     const wl::AppSet new_set = makeAppSet(newerPlatform());
 
-    const FleetRun baseline = runFleet(old_set, new_set, 1, 1, true);
+    const FleetRun baseline = runFleet(old_set, new_set, 1, 1);
     const std::uint64_t expected = baseline.rollup.fingerprint();
     bool identical = true;
 
@@ -269,8 +267,7 @@ main(int argc, char** argv)
             const FleetRun run =
                 shards == 1 && threads == 1
                     ? baseline
-                    : runFleet(old_set, new_set, shards, threads,
-                               true);
+                    : runFleet(old_set, new_set, shards, threads);
             const std::uint64_t fp = run.rollup.fingerprint();
             identical = identical && fp == expected;
             char fp_hex[32];
@@ -293,51 +290,20 @@ main(int argc, char** argv)
     }
     std::printf("%s", sharded.render().c_str());
 
-    const FleetRun sync = runFleet(old_set, new_set, 2, 4, false);
-    const FleetRun async = runFleet(old_set, new_set, 2, 4, true);
-    identical = identical && sync.rollup.fingerprint() == expected &&
-                async.rollup.fingerprint() == expected;
-
-    std::printf("\ntelemetry aggregator (2 shards, 4 threads):\n");
-    TextTable agg({"mode", "fold s", "wall s"});
-    agg.addRow({"synchronous (inline at seal)",
-                fmt(sync.rollup.aggregatorSeconds, 4),
-                fmt(sync.wallSeconds, 3)});
-    agg.addRow({"async (overlapped on pool)",
-                fmt(async.rollup.aggregatorSeconds, 4),
-                fmt(async.wallSeconds, 3)});
-    std::printf("%s", agg.render().c_str());
-    std::printf("sync pays the fold inline on the epoch loop; async "
-                "overlaps it\nwith the next epoch's simulation "
-                "(same bits either way).\n");
-
     // Machine-readable twin of the fleet tables (CI archives it).
     bench::Json root = bench::Json::object();
     root.str("bench", "hetero")
         .hex("expected_fingerprint", expected)
         .child("sharded", sharded_rows)
-        .child("aggregator",
-               bench::Json::array()
-                   .push(bench::Json::object()
-                             .str("mode", "sync")
-                             .num("fold_seconds",
-                                  sync.rollup.aggregatorSeconds)
-                             .num("wall_seconds", sync.wallSeconds))
-                   .push(bench::Json::object()
-                             .str("mode", "async")
-                             .num("fold_seconds",
-                                  async.rollup.aggregatorSeconds)
-                             .num("wall_seconds",
-                                  async.wallSeconds)))
         .flag("identical", identical);
     bench::writeJson(root, argc > 1 ? argv[1] : "BENCH_hetero.json");
 
     if (!identical) {
         std::printf("\nFAIL: fleet rollup fingerprints diverged "
-                    "across shard/thread/async settings\n");
+                    "across shard/thread settings\n");
         return 1;
     }
     std::printf("\nall fleet rollups bit-identical across "
-                "{1,2,4} shards x {1,4} threads x {sync,async}\n");
+                "{1,2,4} shards x {1,4} threads\n");
     return 0;
 }

@@ -13,12 +13,18 @@
  *      fingerprint AND the same rollup fingerprint, bit for bit.
  *   2. Scale: the default sweep evaluates a >= 500-cluster fleet.
  *
+ * Each row runs kRunsPerRow times from scratch and reports the
+ * median of each phase's seconds (every repeat must reproduce the
+ * row's fingerprints too): one run's run_s varies 2x between runs
+ * of the same binary, too wide to compare trees on.
+ *
  * Emits BENCH_fleet.json — the cluster-count x shards scaling table
  * re-anchors read for the fleet perf curve. Pass --small for the CI
  * variant (same gates, toy sizes); the first non-flag argument
  * overrides the output path.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -35,6 +41,9 @@ using namespace poco;
 
 namespace
 {
+
+/** Runs per row (odd, so the median is one run's reading). */
+constexpr int kRunsPerRow = 5;
 
 double
 seconds(std::chrono::steady_clock::time_point from,
@@ -125,6 +134,40 @@ runOnce(std::size_t clusters, int shards, int threads)
     return row;
 }
 
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+}
+
+/**
+ * kRunsPerRow fresh runs: the first run's fingerprints and each
+ * phase's median seconds. @p repeatable turns false when a repeat
+ * disagrees with the first run's fingerprints.
+ */
+SweepRow
+runRow(std::size_t clusters, int shards, int threads, bool& repeatable)
+{
+    SweepRow row;
+    std::vector<double> generate, build, run;
+    for (int r = 0; r < kRunsPerRow; ++r) {
+        const SweepRow one = runOnce(clusters, shards, threads);
+        if (r == 0)
+            row = one;
+        repeatable = repeatable &&
+                     one.scenarioFingerprint == row.scenarioFingerprint &&
+                     one.rollupFingerprint == row.rollupFingerprint;
+        generate.push_back(one.generateSeconds);
+        build.push_back(one.buildSeconds);
+        run.push_back(one.runSeconds);
+    }
+    row.generateSeconds = median(generate);
+    row.buildSeconds = median(build);
+    row.runSeconds = median(run);
+    return row;
+}
+
 } // namespace
 
 int
@@ -151,6 +194,7 @@ main(int argc, char** argv)
     const std::vector<std::pair<int, int>> combos = {
         {1, 1}, {4, 1}, {4, 4}};
 
+    std::printf("median of %d runs per row\n", kRunsPerRow);
     TextTable table({"clusters", "shards", "threads", "generate_s",
                      "build_s", "run_s", "rollup_fp"});
     bench::Json rows = bench::Json::array();
@@ -160,8 +204,16 @@ main(int argc, char** argv)
         std::uint64_t expected_scen = 0;
         std::uint64_t expected_rollup = 0;
         for (std::size_t i = 0; i < combos.size(); ++i) {
-            const SweepRow row =
-                runOnce(clusters, combos[i].first, combos[i].second);
+            bool repeatable = true;
+            const SweepRow row = runRow(clusters, combos[i].first,
+                                        combos[i].second, repeatable);
+            if (!repeatable) {
+                identical = false;
+                std::fprintf(stderr,
+                             "FINGERPRINT MISMATCH between repeats at "
+                             "%zu clusters shards=%d threads=%d\n",
+                             clusters, row.shards, row.threads);
+            }
             if (i == 0) {
                 expected_scen = row.scenarioFingerprint;
                 expected_rollup = row.rollupFingerprint;
@@ -209,6 +261,7 @@ main(int argc, char** argv)
     bench::Json root = bench::Json::object();
     root.str("bench", "scen_scaling")
         .flag("small", small)
+        .integer("runs_per_row", kRunsPerRow)
         .integer("max_clusters",
                  static_cast<std::int64_t>(sizes.back()))
         .flag("deterministic", identical)

@@ -1,7 +1,7 @@
 #include "cluster/cluster_evaluator.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <bit>
 
 #include "model/fitter.hpp"
 #include "runtime/parallel.hpp"
@@ -380,49 +380,54 @@ ClusterEvaluator::makeController(std::size_t lc_idx,
 }
 
 ServerOutcome
-ClusterEvaluator::runPair(std::size_t lc_idx, int be_idx,
-                          ManagerKind kind, Watts cap_override,
-                          int seed_variant) const
+ClusterEvaluator::runMemoized(const PairKey& key, Watts cap_override,
+                              wl::LoadTrace trace,
+                              SimTime duration) const
 {
-    POCO_REQUIRE(lc_idx < apps_->lc.size(), "LC index out of range");
-    POCO_REQUIRE(be_idx < static_cast<int>(apps_->be.size()),
+    POCO_REQUIRE(key.lc < apps_->lc.size(), "LC index out of range");
+    POCO_REQUIRE(key.be < static_cast<int>(apps_->be.size()),
                  "BE index out of range");
     POCO_REQUIRE(cap_override >= Watts{},
                  "cap override must be non-negative");
-
-    std::ostringstream key;
-    key << "pair/" << lc_idx << "/" << be_idx << "/"
-        << managerKindName(kind) << "/" << cap_override << "/"
-        << seed_variant;
     {
         runtime::LockGuard guard(cache_mutex_);
-        if (auto it = cache_.find(key.str()); it != cache_.end())
+        if (auto it = cache_.find(key); it != cache_.end())
             return it->second;
     }
 
-    const wl::LcApp& lc = apps_->lc[lc_idx];
+    const wl::LcApp& lc = apps_->lc[key.lc];
     const wl::BeApp* be =
-        be_idx >= 0 ? &apps_->be[static_cast<std::size_t>(be_idx)]
+        key.be >= 0 ? &apps_->be[static_cast<std::size_t>(key.be)]
                     : nullptr;
     const Watts cap = cap_override > Watts{} ? cap_override
                                          : lc.provisionedPower();
-    const SimTime duration =
-        config_.server.warmup +
-        config_.dwell *
-            static_cast<SimTime>(config_.loadPoints.size());
 
     ServerOutcome outcome;
     outcome.lcName = lc.name();
     outcome.beName = be ? be->name() : "(none)";
     outcome.run = server::runServerScenario(
-        lc, be, cap, makeController(lc_idx, kind, seed_variant),
-        wl::LoadTrace::stepped(config_.loadPoints, config_.dwell),
-        duration, config_.server);
+        lc, be, cap, makeController(key.lc, key.kind, key.seedVariant),
+        std::move(trace), duration, config_.server);
     // Concurrent tasks may have raced on the same key; the runs are
     // deterministic, so whichever insert lands first is the value.
     runtime::LockGuard guard(cache_mutex_);
-    return cache_.emplace(key.str(), std::move(outcome))
-        .first->second;
+    return cache_.emplace(key, std::move(outcome)).first->second;
+}
+
+ServerOutcome
+ClusterEvaluator::runPair(std::size_t lc_idx, int be_idx,
+                          ManagerKind kind, Watts cap_override,
+                          int seed_variant) const
+{
+    return runMemoized(
+        {false, lc_idx, be_idx, kind, 0,
+         std::bit_cast<std::uint64_t>(cap_override.value()),
+         seed_variant},
+        cap_override,
+        wl::LoadTrace::stepped(config_.loadPoints, config_.dwell),
+        config_.server.warmup +
+            config_.dwell *
+                static_cast<SimTime>(config_.loadPoints.size()));
 }
 
 ServerOutcome
@@ -431,40 +436,12 @@ ClusterEvaluator::runPairAtLoad(std::size_t lc_idx, int be_idx,
                                 double load_fraction,
                                 Watts cap_override) const
 {
-    POCO_REQUIRE(lc_idx < apps_->lc.size(), "LC index out of range");
-    POCO_REQUIRE(be_idx < static_cast<int>(apps_->be.size()),
-                 "BE index out of range");
-    POCO_REQUIRE(cap_override >= Watts{},
-                 "cap override must be non-negative");
-
-    std::ostringstream key;
-    key << "load/" << lc_idx << "/" << be_idx << "/"
-        << managerKindName(kind) << "/" << load_fraction << "/"
-        << cap_override;
-    {
-        runtime::LockGuard guard(cache_mutex_);
-        if (auto it = cache_.find(key.str()); it != cache_.end())
-            return it->second;
-    }
-
-    const wl::LcApp& lc = apps_->lc[lc_idx];
-    const wl::BeApp* be =
-        be_idx >= 0 ? &apps_->be[static_cast<std::size_t>(be_idx)]
-                    : nullptr;
-    const Watts cap = cap_override > Watts{} ? cap_override
-                                         : lc.provisionedPower();
-    const SimTime duration = config_.server.warmup + config_.dwell;
-
-    ServerOutcome outcome;
-    outcome.lcName = lc.name();
-    outcome.beName = be ? be->name() : "(none)";
-    outcome.run = server::runServerScenario(
-        lc, be, cap, makeController(lc_idx, kind, 0),
-        wl::LoadTrace::constant(load_fraction), duration,
-        config_.server);
-    runtime::LockGuard guard(cache_mutex_);
-    return cache_.emplace(key.str(), std::move(outcome))
-        .first->second;
+    return runMemoized(
+        {true, lc_idx, be_idx, kind,
+         std::bit_cast<std::uint64_t>(load_fraction),
+         std::bit_cast<std::uint64_t>(cap_override.value()), 0},
+        cap_override, wl::LoadTrace::constant(load_fraction),
+        config_.server.warmup + config_.dwell);
 }
 
 ClusterOutcome

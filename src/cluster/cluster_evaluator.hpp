@@ -231,6 +231,27 @@ class ClusterEvaluator
     ClusterOutcome runPolicy(Policy policy) const;
 
   private:
+    /**
+     * Pair-memo key. Load and cap enter as their exact bit patterns,
+     * so two distinct doubles never share an entry.
+     */
+    struct PairKey
+    {
+        bool atLoad; ///< runPairAtLoad (true) or runPair (false)
+        std::size_t lc;
+        int be;
+        ManagerKind kind;
+        std::uint64_t loadBits; ///< 0 for runPair
+        std::uint64_t capBits;  ///< of the cap override
+        int seedVariant;
+        auto operator<=>(const PairKey&) const = default;
+    };
+
+    /** Memo lookup, else one managed run of @p trace, inserted. */
+    ServerOutcome runMemoized(const PairKey& key, Watts cap_override,
+                              wl::LoadTrace trace,
+                              SimTime duration) const;
+
     std::unique_ptr<server::PrimaryController>
     makeController(std::size_t lc_idx, ManagerKind kind,
                    int seed_variant) const;
@@ -250,7 +271,7 @@ class ClusterEvaluator
      * the map itself.
      */
     mutable runtime::Mutex cache_mutex_;
-    mutable std::map<std::string, ServerOutcome> cache_
+    mutable std::map<PairKey, ServerOutcome> cache_
         POCO_GUARDED_BY(cache_mutex_);
 
     /**

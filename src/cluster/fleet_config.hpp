@@ -155,7 +155,12 @@ struct FleetConfig
     Watts fleetBudget{};
     /** Move unused per-cluster budget to capped clusters each epoch. */
     bool redistributeBudget = true;
-    /** Fold telemetry rollups off-thread (double-buffered epochs). */
+    /**
+     * Read only by perfbench's traced replay, which folds control
+     * plane deltas through a sim::TelemetryAggregator (async when
+     * set). FleetEvaluator itself builds no aggregator: each server
+     * run folds its own telemetry.
+     */
     bool asyncTelemetry = true;
 
     // ----- streaming control plane (fleet::runStreaming) ---------
@@ -342,11 +347,6 @@ struct FleetConfig
     FleetConfig& withBudgetRedistribution(bool value)
     {
         redistributeBudget = value;
-        return *this;
-    }
-    FleetConfig& withAsyncTelemetry(bool value)
-    {
-        asyncTelemetry = value;
         return *this;
     }
     FleetConfig& withHeartbeat(SimTime period, SimTime jitter,

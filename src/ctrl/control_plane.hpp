@@ -240,7 +240,10 @@ struct CtrlCheckpoint
  * checkpoint() at any LSN boundary, restore from a checkpoint and
  * keep applying, finish() exactly once for the rollup. Not copyable
  * or movable (the placer points into the engine's own memo);
- * MasterGroup heap-allocates one per live master.
+ * MasterGroup heap-allocates one per live master. An optional
+ * telemetry sink receives per-server delta samples (appendDelta) on
+ * each re-placement and one sealed epoch at finish(); it must cover
+ * config.servers slots and is the caller's to drain.
  */
 class ReplayEngine
 {
@@ -338,17 +341,6 @@ class ControlPlane
                  cluster::SolverContext context = {});
 
     /**
-     * Optional telemetry sink: each re-placement appends per-server
-     * delta samples (appendDelta) and the replay seals one epoch at
-     * the end. The sink must cover config.servers slots and is the
-     * caller's to drain.
-     */
-    void attachTelemetry(sim::TelemetryAggregator* sink)
-    {
-        telemetry_ = sink;
-    }
-
-    /**
      * Run the log from a clean slate. The outcome's tier is the
      * worst rung any event needed (worseTier fold), its attempts the
      * total across events, its degradation the union.
@@ -366,7 +358,6 @@ class ControlPlane
     CellModel cells_;
     ControlPlaneConfig config_;
     cluster::SolverContext context_;
-    sim::TelemetryAggregator* telemetry_ = nullptr;
 };
 
 } // namespace poco::ctrl

@@ -145,9 +145,9 @@ FleetEvaluator::FleetEvaluator(std::vector<FleetServer> servers,
                "scenario loads cover a different cluster count than "
                "this fleet partitions into");
 
-    // One pool for everything: shard tasks, each shard's internal
-    // cluster parallelism, and the async telemetry folds. Helping
-    // joins make the nesting safe on any pool size.
+    // One pool for everything: shard tasks and each shard's internal
+    // cluster parallelism. Helping joins make the nesting safe on
+    // any pool size.
     if (config_.pool != nullptr) {
         pool_ = config_.pool;
     } else if (config_.threads == 1) {
@@ -158,13 +158,6 @@ FleetEvaluator::FleetEvaluator(std::vector<FleetServer> servers,
         owned_pool_ = std::make_unique<runtime::ThreadPool>(
             static_cast<unsigned>(config_.threads));
         pool_ = owned_pool_.get();
-    }
-
-    slot_base_.resize(clusters_.size());
-    std::size_t slots = 0;
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
-        slot_base_[c] = slots;
-        slots += clusters_[c].members.size();
     }
 
     // Build the per-cluster evaluators (profiling + fitting), shard
@@ -188,7 +181,6 @@ FleetEvaluator::FleetEvaluator(std::vector<FleetServer> servers,
                 derived.pool = pool_;
                 derived.threads = 1;
                 derived.seed = stream.nextU64();
-                derived.server.keepTelemetry = true;
                 evaluators_[c] =
                     std::make_unique<cluster::ClusterEvaluator>(
                         *clusters_[c].apps, derived);
@@ -209,9 +201,8 @@ FleetEvaluator::clusterEvaluator(std::size_t index) const
 }
 
 ClusterEpochOutcome
-FleetEvaluator::runClusterEpoch(
-    std::size_t index, double load, long long budget_mw,
-    sim::TelemetryAggregator& aggregator) const
+FleetEvaluator::runClusterEpoch(std::size_t index, double load,
+                                long long budget_mw) const
 {
     const FleetCluster& home = clusters_[index];
     const cluster::ClusterEvaluator& evaluator = *evaluators_[index];
@@ -246,9 +237,11 @@ FleetEvaluator::runClusterEpoch(
             be_of[static_cast<std::size_t>(placement.value[i])] =
                 static_cast<int>(i);
 
+    // Members combine in canonical member order; each run already
+    // folded its telemetry over the epoch window against memberCap.
     for (std::size_t k = 0; k < members; ++k) {
         const std::size_t j = home.lcIndices[k];
-        cluster::ServerOutcome run = evaluator.runPairAtLoad(
+        const cluster::ServerOutcome run = evaluator.runPairAtLoad(
             j, be_of[j], cluster::ManagerKind::Pom, load,
             out.memberCap);
         out.beThroughput += run.run.stats.averageBeThroughput();
@@ -256,8 +249,7 @@ FleetEvaluator::runClusterEpoch(
         out.meanDraw += run.run.stats.averagePower();
         if (run.run.stats.cappedTime > 0)
             out.capped = true;
-        aggregator.add(slot_base_[index] + k,
-                       std::move(run.run.telemetry), out.memberCap);
+        out.telemetry += run.run.telemetry;
     }
     return out;
 }
@@ -334,10 +326,6 @@ FleetEvaluator::streamingSetup() const
     setup.context.cache = nullptr; // each replay builds its own memo
     setup.context.pivotCutoff = config_.solverPivotCutoff;
     setup.context.pricingGrain = config_.solverPricingGrain;
-
-    setup.clusterOf.resize(servers_.size());
-    for (std::size_t s = 0; s < servers_.size(); ++s)
-        setup.clusterOf[s] = server_table[s].cluster;
     return setup;
 }
 
@@ -347,24 +335,7 @@ FleetEvaluator::runStreaming(const ctrl::EventLog& log) const
     StreamingSetup setup = streamingSetup();
     ctrl::ControlPlane plane(std::move(setup.cells), setup.config,
                              setup.context);
-
-    // Telemetry slots are indexed by global server index here (the
-    // control plane's column space), unlike run()'s cluster-major
-    // slot_base_ layout.
-    sim::TelemetryAggregator aggregator(std::move(setup.clusterOf),
-                                        clusters_.size(), pool_,
-                                        config_.asyncTelemetry);
-    plane.attachTelemetry(&aggregator);
-
-    Outcome<ctrl::CtrlRollup> outcome = plane.replay(log);
-
-    // The replay sealed exactly one epoch; fold it so the delta
-    // pushes exercise the same rollup machinery as run(). The fold
-    // never feeds the fingerprint (it is telemetry-only).
-    const auto folded = aggregator.drain();
-    POCO_ASSERT(folded.size() == 1,
-                "streaming replay seals exactly one epoch");
-    return outcome;
+    return plane.replay(log);
 }
 
 Outcome<ctrl::MasterGroupRollup>
@@ -439,17 +410,6 @@ FleetEvaluator::run() const
     for (std::size_t c = 0; c < n_clusters; ++c)
         floor_mw[c] = budget_mw[c] / 2;
 
-    std::vector<std::size_t> cluster_of;
-    for (std::size_t c = 0; c < n_clusters; ++c)
-        cluster_of.insert(cluster_of.end(),
-                          clusters_[c].members.size(), c);
-    sim::TelemetryAggregator aggregator(std::move(cluster_of),
-                                        n_clusters, pool_,
-                                        config_.asyncTelemetry);
-
-    const SimTime fold_start = config_.server.warmup;
-    const SimTime fold_end = config_.server.warmup + config_.dwell;
-
     Outcome<FleetRollup> outcome;
     FleetRollup& rollup = outcome.value;
 
@@ -470,16 +430,14 @@ FleetEvaluator::run() const
         epoch.clusters.resize(n_clusters);
 
         // Evaluate the epoch's clusters, sharded: shard s walks
-        // canonical indices s, s+shards, ... and writes only
-        // cluster-indexed slots (result entries, telemetry server
-        // slots), so the shard count schedules the work without
-        // touching a single result bit.
+        // canonical indices s, s+shards, ... and writes only its
+        // clusters' result entries, so the shard count schedules the
+        // work without touching a single result bit.
         {
             runtime::TaskGroup group(pool_);
             for (std::size_t shard = 0; shard < shards; ++shard) {
-                group.run([this, &epoch, &budget_mw, &aggregator,
-                           load, cluster_loads, shard, shards,
-                           n_clusters] {
+                group.run([this, &epoch, &budget_mw, load,
+                           cluster_loads, shard, shards, n_clusters] {
                     for (std::size_t c = shard; c < n_clusters;
                          c += shards)
                         epoch.clusters[c] = runClusterEpoch(
@@ -487,12 +445,14 @@ FleetEvaluator::run() const
                             cluster_loads != nullptr
                                 ? cluster_loads[c]
                                 : load,
-                            budget_mw[c], aggregator);
+                            budget_mw[c]);
                 });
             }
             group.wait();
         }
-        aggregator.sealEpoch(fold_start, fold_end);
+        // Clusters combine in canonical order into the fleet rollup.
+        for (const ClusterEpochOutcome& co : epoch.clusters)
+            epoch.telemetry += co.telemetry;
 
         // Budget redistribution (canonical order, integer mW):
         // donors release half their unused headroom — never below
@@ -557,19 +517,6 @@ FleetEvaluator::run() const
             outcome.degradation |= co.degradation;
         }
         rollup.epochs.push_back(std::move(epoch));
-    }
-
-    // Attach the folded rollups. drain() blocks on folds still in
-    // flight and returns them in seal order, i.e. epoch order.
-    const auto folded = aggregator.drain();
-    POCO_ASSERT(folded.size() == rollup.epochs.size(),
-                "aggregator epoch count mismatch");
-    for (std::size_t e = 0; e < folded.size(); ++e) {
-        FleetEpoch& epoch = rollup.epochs[e];
-        for (std::size_t c = 0; c < n_clusters; ++c)
-            epoch.clusters[c].telemetry = folded[e].clusters[c];
-        epoch.telemetry = folded[e].fleet;
-        rollup.aggregatorSeconds += folded[e].foldSeconds;
     }
 
     for (const FleetEpoch& epoch : rollup.epochs) {

@@ -10,12 +10,12 @@
  * platform, evaluate the clusters concurrently on one shared thread
  * pool (shards are TaskGroups; nested joins help, so a shard's
  * internally-parallel cluster work cannot deadlock the pool),
- * redistribute unused cluster power budget between epochs, and fold
- * per-server telemetry into cluster- and fleet-level rollups off the
- * evaluation thread.
+ * redistribute unused cluster power budget between epochs, and
+ * combine the per-server telemetry rollups each run folded for
+ * itself into cluster- and fleet-level rollups.
  *
  * Determinism contract: the fleet rollup is bit-identical for any
- * shard count x thread count x async-telemetry setting. Clusters
+ * shard count x thread count. Clusters
  * are canonical (partition order depends only on the input server
  * list); shards only schedule them (cluster c runs on shard
  * c % shards); every per-cluster stochastic stream is seeded by
@@ -98,13 +98,12 @@ struct ClusterEpochOutcome
     /**
      * Summed mean power draw of the members, from the simulator
      * statistics (energy / elapsed). Budget redistribution reads
-     * this — never the telemetry rollup, which may still be folding
-     * asynchronously when the next epoch's budgets are due.
+     * this, not the telemetry rollup's sampled meanPower.
      */
     Watts meanDraw{};
     /** True when the power cap bound at least one member. */
     bool capped = false;
-    /** Folded telemetry rollup (async or sync — identical bits). */
+    /** The members' telemetry rollups, combined in member order. */
     sim::EpochRollup telemetry;
 };
 
@@ -129,8 +128,9 @@ struct FleetRollup
     Joules totalEnergy{};
     Joules totalCapOvershoot{};
     /**
-     * Wall-clock seconds spent folding telemetry (sums the per-epoch
-     * folds). Timing only: excluded from fingerprint().
+     * Always 0: each server run folds its own telemetry, so run()
+     * has no separate fold to time. Kept for perfbench's
+     * sim.telemetry_fold_ms; excluded from fingerprint().
      */
     double aggregatorSeconds = 0.0;
 
@@ -177,8 +177,8 @@ class FleetEvaluator
     /**
      * Evaluate every epoch in config().epochLoads: clusters run
      * sharded (cluster c on shard c % shards), unused budget moves
-     * to power-capped clusters between epochs, telemetry folds into
-     * rollups (off-thread when config().asyncTelemetry).
+     * to power-capped clusters between epochs, and the members'
+     * telemetry rollups combine into cluster and fleet rollups.
      *
      * @return The fleet rollup wrapped in an Outcome: tier is the
      *         worst placement tier any cluster-epoch used, attempts
@@ -196,8 +196,7 @@ class FleetEvaluator
      * order; each cell is estimateCellAtLoad() of the candidate's
      * fitted model against the host server's platform. The heartbeat
      * ladder and incremental-solve knobs come from FleetConfig
-     * (withHeartbeat / withStreaming); telemetry deltas flow through
-     * the same TelemetryAggregator machinery run() uses.
+     * (withHeartbeat / withStreaming). No telemetry on this path.
      *
      * Deterministic: the rollup fingerprint is a pure function of
      * (fleet, config.seed, log) — identical across thread counts and
@@ -233,15 +232,11 @@ class FleetEvaluator
         ctrl::CellModel cells;
         ctrl::ControlPlaneConfig config;
         cluster::SolverContext context;
-        /** Owning cluster of each global server index. */
-        std::vector<std::size_t> clusterOf;
     };
     StreamingSetup streamingSetup() const;
 
-    ClusterEpochOutcome
-    runClusterEpoch(std::size_t index, double load,
-                    long long budget_mw,
-                    sim::TelemetryAggregator& aggregator) const;
+    ClusterEpochOutcome runClusterEpoch(std::size_t index, double load,
+                                        long long budget_mw) const;
 
     std::vector<FleetServer> servers_;
     FleetConfig config_;
@@ -250,8 +245,6 @@ class FleetEvaluator
     runtime::ThreadPool* pool_ = nullptr;
     std::vector<std::unique_ptr<cluster::ClusterEvaluator>>
         evaluators_;
-    /** Global telemetry slot of each cluster's first member. */
-    std::vector<std::size_t> slot_base_;
 };
 
 } // namespace poco::fleet

@@ -415,10 +415,10 @@ runServerScenario(const wl::LcApp& lc, const wl::BeApp* be,
     queue.runUntil(duration);
     server.advanceTo(queue.now());
     ServerRunResult result = manager.result();
-    if (config.keepTelemetry) {
-        const auto& samples = manager.telemetry().all();
-        result.telemetry.assign(samples.begin(), samples.end());
-    }
+    const auto& samples = manager.telemetry().all();
+    result.telemetry = sim::foldTelemetry(samples.begin(), samples.end(),
+                                          power_cap, config.warmup,
+                                          duration);
     return result;
 }
 

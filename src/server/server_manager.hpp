@@ -3,7 +3,9 @@
  * Server manager: wires the primary controller, the best-effort
  * throttler, the load trace, and telemetry onto the event queue, and
  * provides a one-call scenario runner used by the cluster manager,
- * the benches, and the tests.
+ * the benches, and the tests. The runner folds the run's telemetry
+ * into an EpochRollup before it returns; callers that need the
+ * samples themselves drive a ServerManager and read telemetry().
  */
 
 #pragma once
@@ -16,6 +18,7 @@
 #include "server/primary_controller.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/telemetry.hpp"
+#include "sim/telemetry_rollup.hpp"
 #include "wl/load_trace.hpp"
 
 namespace poco::runtime
@@ -66,13 +69,6 @@ struct ServerManagerConfig
     SimTime loadPeriod = 1 * kSecond;
     /** Settling time excluded from the reported statistics. */
     SimTime warmup = 60 * kSecond;
-    /**
-     * Copy the run's telemetry samples into ServerRunResult so
-     * aggregation layers (the fleet's epoch rollups) can fold them
-     * off-thread after the simulation finished. Off by default: a
-     * long run retains up to ~2^20 samples.
-     */
-    bool keepTelemetry = false;
 
     ControllerConfig controller;
     ThrottlerConfig throttler;
@@ -107,10 +103,11 @@ struct ServerRunResult
     /** Degradation-ladder counters (all zero on fault-free runs). */
     FaultRunStats faults;
     /**
-     * The run's telemetry samples, oldest first. Empty unless
-     * ServerManagerConfig::keepTelemetry was set.
+     * The run's telemetry folded over its statistics window
+     * [warmup, duration) against its power cap (runServerScenario
+     * only; ServerManager::result() leaves it empty).
      */
-    std::vector<sim::TelemetrySample> telemetry;
+    sim::EpochRollup telemetry;
 };
 
 /**
@@ -210,7 +207,8 @@ class ServerManager
 /**
  * Convenience: build a server, manage it with the given controller
  * over @p duration of simulated time, and report the results
- * (statistics exclude the configured warm-up).
+ * (statistics and the telemetry rollup exclude the configured
+ * warm-up).
  *
  * @param be Pass nullptr to run the primary alone.
  * @param faults Optional fault schedule; nullptr or an empty plan

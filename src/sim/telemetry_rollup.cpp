@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "util/check.hpp"
-
 namespace poco::sim
 {
 
@@ -25,55 +23,6 @@ EpochRollup::operator+=(const EpochRollup& other)
     capOvershoot += other.capOvershoot;
     maxLatencyP99 = std::max(maxLatencyP99, other.maxLatencyP99);
     return *this;
-}
-
-EpochRollup
-foldTelemetry(const std::vector<TelemetrySample>& samples, Watts cap,
-              SimTime start, SimTime end)
-{
-    POCO_REQUIRE(end > start, "epoch window must be non-empty");
-    EpochRollup rollup;
-    rollup.start = start;
-    rollup.end = end;
-
-    // Samples are time-sorted; find the window by binary search —
-    // the sample at or before `start` still holds at the window
-    // open (zero-order hold).
-    auto lo = std::lower_bound(
-        samples.begin(), samples.end(), start,
-        [](const TelemetrySample& s, SimTime t) {
-            return s.when < t;
-        });
-    if (lo != samples.begin() && (lo == samples.end() ||
-                                  lo->when > start))
-        --lo;
-
-    double energy_j = 0.0;
-    double overshoot_j = 0.0;
-    double be_units = 0.0;
-    for (auto it = lo; it != samples.end() && it->when < end; ++it) {
-        const SimTime hold_from = std::max(it->when, start);
-        const SimTime hold_to =
-            std::next(it) != samples.end()
-                ? std::min(std::next(it)->when, end)
-                : end;
-        if (hold_to <= hold_from)
-            continue;
-        const double dt = toSeconds(hold_to - hold_from);
-        energy_j += it->power.value() * dt;
-        overshoot_j +=
-            std::max(0.0, (it->power - cap).value()) * dt;
-        be_units += it->beThroughput.value() * dt;
-        rollup.maxLatencyP99 =
-            std::max(rollup.maxLatencyP99, it->lcLatencyP99);
-        ++rollup.samples;
-    }
-    const double window = toSeconds(end - start);
-    rollup.energy = Joules{energy_j};
-    rollup.capOvershoot = Joules{overshoot_j};
-    rollup.meanPower = Watts{energy_j / window};
-    rollup.meanBeThroughput = Rps{be_units / window};
-    return rollup;
 }
 
 TelemetryAggregator::TelemetryAggregator(

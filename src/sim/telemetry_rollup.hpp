@@ -1,32 +1,36 @@
 /**
  * @file
- * Telemetry epoch rollups and the off-thread aggregator.
+ * Telemetry epoch rollups and the delta aggregator.
  *
  * Per-server TelemetryRecorders answer windowed queries, but the
- * evaluation pipelines used to issue those queries inline — every
- * sweep point paid a binary search plus a full window copy on the
- * simulation thread. The fleet layer aggregates instead: each run's
- * samples fold once into a compact EpochRollup (time-weighted power
- * and throughput integrals, cap-overshoot joules), rollups combine
- * in fixed server order into cluster totals, and clusters combine in
- * canonical cluster order into the fleet total.
+ * fleet layer only ever needs one compact summary of a run: an
+ * EpochRollup (time-weighted power and throughput integrals,
+ * cap-overshoot joules, worst p99). runServerScenario folds its own
+ * recorder into one over the run's statistics window, so no sample
+ * vector leaves the run; members combine in fixed server order into
+ * cluster totals, and clusters in canonical cluster order into the
+ * fleet total.
  *
- * TelemetryAggregator schedules those folds. Within an epoch, each
- * evaluation task deposits samples into its own server-indexed slot
- * (slot exclusivity, no locks); sealEpoch() then moves the filled
- * buffers into a self-contained fold task — a Future on the shared
- * pool when async, an inline call when not. Both paths run the exact
- * same fold code in the exact same order, so async mode changes
- * wall-clock only, never a single output bit.
+ * TelemetryAggregator collects samples pushed from outside a run
+ * (the control plane's heartbeat-cadence deltas) into server-indexed
+ * slots and folds them per sealed epoch with the same foldTelemetry
+ * loop. Within an epoch each writer owns its slot (no locks);
+ * sealEpoch() moves the filled buffers into a self-contained fold
+ * task — a Future on the shared pool when async, an inline call when
+ * not. Both paths run the same fold in the same order, so async mode
+ * changes wall-clock only, never a single output bit.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "runtime/parallel.hpp"
 #include "sim/telemetry.hpp"
+#include "util/check.hpp"
 #include "util/units.hpp"
 
 namespace poco::sim
@@ -59,12 +63,64 @@ struct EpochRollup
 };
 
 /**
- * Fold one server's samples over [start, end) against its power cap
- * @p cap. Samples are zero-order-hold: each holds until the next
- * sample (or the window end), matching PowerMeter's integration.
+ * Fold one server's time-sorted samples [first, last) over the
+ * window [start, end) against its power cap @p cap. Samples are
+ * zero-order-hold: each holds until the next sample (or the window
+ * end), matching PowerMeter's integration. The one integration loop:
+ * runs fold their recorder's deque, the aggregator its vectors.
  */
-EpochRollup foldTelemetry(const std::vector<TelemetrySample>& samples,
-                          Watts cap, SimTime start, SimTime end);
+template <typename It>
+EpochRollup
+foldTelemetry(It first, It last, Watts cap, SimTime start, SimTime end)
+{
+    POCO_REQUIRE(end > start, "epoch window must be non-empty");
+    EpochRollup rollup;
+    rollup.start = start;
+    rollup.end = end;
+
+    // Find the window by binary search — the sample at or before
+    // `start` still holds at the window open (zero-order hold).
+    It lo = std::lower_bound(first, last, start,
+                             [](const TelemetrySample& s, SimTime t) {
+                                 return s.when < t;
+                             });
+    if (lo != first && (lo == last || lo->when > start))
+        --lo;
+
+    double energy_j = 0.0;
+    double overshoot_j = 0.0;
+    double be_units = 0.0;
+    for (It it = lo; it != last && it->when < end; ++it) {
+        const SimTime hold_from = std::max(it->when, start);
+        const SimTime hold_to = std::next(it) != last
+                                    ? std::min(std::next(it)->when, end)
+                                    : end;
+        if (hold_to <= hold_from)
+            continue;
+        const double dt = toSeconds(hold_to - hold_from);
+        energy_j += it->power.value() * dt;
+        overshoot_j += std::max(0.0, (it->power - cap).value()) * dt;
+        be_units += it->beThroughput.value() * dt;
+        rollup.maxLatencyP99 =
+            std::max(rollup.maxLatencyP99, it->lcLatencyP99);
+        ++rollup.samples;
+    }
+    const double window = toSeconds(end - start);
+    rollup.energy = Joules{energy_j};
+    rollup.capOvershoot = Joules{overshoot_j};
+    rollup.meanPower = Watts{energy_j / window};
+    rollup.meanBeThroughput = Rps{be_units / window};
+    return rollup;
+}
+
+/** foldTelemetry over a whole sample vector. */
+inline EpochRollup
+foldTelemetry(const std::vector<TelemetrySample>& samples, Watts cap,
+              SimTime start, SimTime end)
+{
+    return foldTelemetry(samples.begin(), samples.end(), cap, start,
+                         end);
+}
 
 /**
  * Double-buffered epoch aggregator.

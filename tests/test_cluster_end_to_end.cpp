@@ -145,6 +145,24 @@ TEST_F(EndToEndTest, PairRunsAreCachedAndDeterministic)
     EXPECT_DOUBLE_EQ(a.run.powerUtilization, b.run.powerUtilization);
 }
 
+TEST_F(EndToEndTest, PairMemoKeysLoadsOnTheirExactBits)
+{
+    // Two loads that agree to six significant digits: the second
+    // call must run its own load, not reuse the first one's run.
+    const auto first =
+        evaluator_->runPairAtLoad(0, 0, ManagerKind::Pom, 0.4123461);
+    const auto second =
+        evaluator_->runPairAtLoad(0, 0, ManagerKind::Pom, 0.4123464);
+    const ClusterEvaluator fresh(*set_);
+    const auto want =
+        fresh.runPairAtLoad(0, 0, ManagerKind::Pom, 0.4123464);
+    ASSERT_NE(first.run.stats.energyJoules, want.run.stats.energyJoules)
+        << "the probe loads must produce distinguishable runs";
+    EXPECT_EQ(second.run.stats.energyJoules, want.run.stats.energyJoules);
+    EXPECT_EQ(second.run.stats.beWorkDone, want.run.stats.beWorkDone);
+    EXPECT_EQ(second.run.telemetry.energy, want.run.telemetry.energy);
+}
+
 TEST_F(EndToEndTest, RunPairAtLoadMonotoneInLoad)
 {
     // More primary load -> less BE throughput, for a fixed pairing.

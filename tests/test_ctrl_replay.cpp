@@ -155,13 +155,17 @@ TEST(CtrlReplay, TelemetryDeltasFlowThroughAggregator)
 {
     const EventLog log = EventLog::generate(stormConfig(61));
     const ControlPlaneConfig config = planeConfig();
-    ControlPlane plane(syntheticCell, config);
 
+    // The sink path perfbench's traced replay drives: an engine
+    // stepped event by event with an aggregator attached.
     sim::TelemetryAggregator sink(
         std::vector<std::size_t>(config.servers, 0), 1, nullptr,
         false);
-    plane.attachTelemetry(&sink);
-    const auto outcome = plane.replay(log);
+    ReplayEngine engine(syntheticCell, config, {}, &sink);
+    engine.reserveRecords(log.size());
+    for (const ControlEvent& e : log.events())
+        engine.apply(e);
+    const auto outcome = engine.finish(log.horizon());
     EXPECT_GT(sink.deltaPushes(), 0u)
         << "re-placements must push heartbeat-cadence deltas";
 
@@ -169,6 +173,11 @@ TEST(CtrlReplay, TelemetryDeltasFlowThroughAggregator)
     ASSERT_EQ(epochs.size(), 1u);
     EXPECT_GT(epochs[0].fleet.samples, 0u);
     EXPECT_GT(outcome.value.resolves, 0u);
+    // The sink observes the replay; it never steers it.
+    EXPECT_EQ(outcome.value.fingerprint,
+              ControlPlane(syntheticCell, config)
+                  .replay(log)
+                  .value.fingerprint);
 }
 
 TEST(CtrlReplay, FaultPlanLowersToCrashRecoverPairs)

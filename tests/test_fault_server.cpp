@@ -2,8 +2,8 @@
  * @file
  * Tests for server-level fault handling: the byte-identical
  * fault-free path, the watchdog's degradation ladder (degrade ->
- * clamp -> evict -> recover), and the naive manager's failure modes
- * under the same faults.
+ * clamp -> evict -> recover), the naive manager's failure modes
+ * under the same faults, and the telemetry rollup each run folds.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +11,11 @@
 #include <memory>
 
 #include "fault/fault_plan.hpp"
+#include "managed_run.hpp"
 #include "model/fitter.hpp"
 #include "model/profiler.hpp"
 #include "server/server_manager.hpp"
+#include "sim/telemetry_rollup.hpp"
 #include "util/check.hpp"
 #include "wl/registry.hpp"
 
@@ -204,6 +206,69 @@ TEST_F(FaultServerTest, LoadSpikeSaturatesAtPeak)
     EXPECT_EQ(guarded.stats.elapsed, duration - 60 * kSecond);
     EXPECT_GE(guarded.averageSlack, -1.0);
     EXPECT_GT(guarded.stats.beWorkDone, 0.0);
+}
+
+TEST_F(FaultServerTest, RunFoldsItsOwnSamplesOverTheStatsWindow)
+{
+    // runServerScenario returns the fold of its recorder's samples
+    // over [warmup, duration) against its cap, bit for bit; the
+    // hand-driven twin keeps those samples to fold them here.
+    const auto trace = wl::LoadTrace::stepped({0.3, 0.9}, 40 * kSecond);
+    const SimTime duration = 150 * kSecond;
+    fault::FaultPlanConfig fc;
+    fc.horizon = duration;
+    fc.servers = 1;
+    fc.sensorStuckRate = 2.0;
+    fc.actuatorStuckRate = 2.0;
+    fc.loadSpikeRate = 2.0;
+    fc.seed = 11;
+    const auto plan = fault::FaultPlan::generate(fc);
+    ASSERT_TRUE(plan.enabled());
+
+    const auto& lc = set_->lcByName("xapian");
+    const auto& be = set_->beByName("graph");
+    for (const fault::FaultPlan* faults :
+         {static_cast<const fault::FaultPlan*>(nullptr), &plan}) {
+        const ServerRunResult got =
+            run(faults, true, Brains::Pom, trace, duration);
+        ServerScenario twin;
+        twin.lc = &lc;
+        twin.be = &be;
+        twin.powerCap = lc.provisionedPower();
+        twin.controller = std::make_unique<PomController>(
+            modelOf("xapian"));
+        twin.trace = trace;
+        twin.duration = duration;
+        twin.faults = faults;
+        const test::ManagedRun managed = test::runManaged(twin);
+        const char* label = faults ? "faulted" : "fault-free";
+        // The twin is the same run...
+        ASSERT_EQ(managed.result.stats.energyJoules,
+                  got.stats.energyJoules)
+            << label;
+        ASSERT_EQ(managed.result.faults.degradedTicks,
+                  got.faults.degradedTicks)
+            << label;
+
+        // ...and the rollup is its samples' fold, bit for bit.
+        const sim::EpochRollup want = sim::foldTelemetry(
+            managed.samples.begin(), managed.samples.end(),
+            lc.provisionedPower(), twin.config.warmup, duration);
+        const sim::EpochRollup& r = got.telemetry;
+        EXPECT_EQ(r.start, twin.config.warmup) << label;
+        EXPECT_EQ(r.end, duration) << label;
+        EXPECT_GT(r.samples, 0u) << label;
+        EXPECT_EQ(r.samples, want.samples) << label;
+        EXPECT_EQ(r.meanPower, want.meanPower) << label;
+        EXPECT_EQ(r.meanBeThroughput, want.meanBeThroughput) << label;
+        EXPECT_EQ(r.energy, want.energy) << label;
+        EXPECT_EQ(r.capOvershoot, want.capOvershoot) << label;
+        EXPECT_EQ(r.maxLatencyP99, want.maxLatencyP99) << label;
+        if (faults != nullptr) {
+            EXPECT_GT(got.faults.degradedTicks, 0)
+                << "the plan must drive the degradation ladder";
+        }
+    }
 }
 
 TEST_F(FaultServerTest, FaultedRunsAreDeterministic)

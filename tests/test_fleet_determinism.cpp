@@ -120,18 +120,6 @@ TEST_F(FleetFixture, RollupIsBitIdenticalForAnyShardAndThreadCount)
     }
 }
 
-TEST_F(FleetFixture, AsyncAndSyncTelemetryRollupsMatch)
-{
-    EXPECT_EQ(fingerprintFor(smallConfig()
-                                 .withShards(2)
-                                 .withThreads(4)
-                                 .withAsyncTelemetry(false)),
-              fingerprintFor(smallConfig()
-                                 .withShards(2)
-                                 .withThreads(4)
-                                 .withAsyncTelemetry(true)));
-}
-
 TEST_F(FleetFixture, FingerprintSeesResultBitsNotTiming)
 {
     const FleetEvaluator evaluator(servers(), smallConfig());

@@ -31,9 +31,11 @@
 #include "ctrl/event_log.hpp"
 #include "fleet/fleet_evaluator.hpp"
 #include "lattice_oracle.hpp"
+#include "managed_run.hpp"
 #include "model/demand.hpp"
 #include "model/fitter.hpp"
 #include "model/profiler.hpp"
+#include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "server/server_manager.hpp"
 #include "util/check.hpp"
@@ -373,9 +375,11 @@ class OraclePomController : public PrimaryController
 };
 
 void
-expectSameRun(const ServerRunResult& got, const ServerRunResult& want,
-              const std::string& label)
+expectSameRun(const test::ManagedRun& got_run,
+              const test::ManagedRun& want_run, const std::string& label)
 {
+    const ServerRunResult& got = got_run.result;
+    const ServerRunResult& want = want_run.result;
     EXPECT_EQ(got.stats.elapsed, want.stats.elapsed) << label;
     EXPECT_EQ(got.stats.energyJoules, want.stats.energyJoules) << label;
     EXPECT_EQ(got.stats.beWorkDone, want.stats.beWorkDone) << label;
@@ -390,11 +394,11 @@ expectSameRun(const ServerRunResult& got, const ServerRunResult& want,
     EXPECT_EQ(got.averageSlack, want.averageSlack) << label;
     EXPECT_EQ(got.slackShortfallFraction, want.slackShortfallFraction)
         << label;
-    ASSERT_EQ(got.telemetry.size(), want.telemetry.size()) << label;
-    ASSERT_FALSE(got.telemetry.empty()) << label;
-    for (std::size_t i = 0; i < got.telemetry.size(); ++i) {
-        const sim::TelemetrySample& a = got.telemetry[i];
-        const sim::TelemetrySample& b = want.telemetry[i];
+    ASSERT_EQ(got_run.samples.size(), want_run.samples.size()) << label;
+    ASSERT_FALSE(got_run.samples.empty()) << label;
+    for (std::size_t i = 0; i < got_run.samples.size(); ++i) {
+        const sim::TelemetrySample& a = got_run.samples[i];
+        const sim::TelemetrySample& b = want_run.samples[i];
         EXPECT_EQ(a.when, b.when) << label << " sample " << i;
         EXPECT_EQ(a.lcLoad, b.lcLoad) << label << " sample " << i;
         EXPECT_EQ(a.lcLatencyP95, b.lcLatencyP95)
@@ -424,7 +428,6 @@ TEST(ModelLatticeServer, GridControllerMatchesTheOracleController)
     for (const bool tune : {false, true}) {
         ServerManagerConfig config;
         config.warmup = 5 * kSecond;
-        config.keepTelemetry = true;
         config.controller.tunePrimaryFrequency = tune;
 
         std::vector<ServerScenario> grid_runs;
@@ -470,8 +473,12 @@ TEST(ModelLatticeServer, GridControllerMatchesTheOracleController)
         }
 
         runtime::ThreadPool pool(4);
-        const auto got = runServerScenarios(std::move(grid_runs), &pool);
-        const auto want = runServerScenarios(std::move(oracle_runs));
+        const auto got = runtime::parallelMap(
+            &pool, grid_runs.size(),
+            [&](std::size_t i) { return test::runManaged(grid_runs[i]); });
+        std::vector<test::ManagedRun> want;
+        for (ServerScenario& o : oracle_runs)
+            want.push_back(test::runManaged(o));
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             expectSameRun(got[i], want[i], labels[i]);
